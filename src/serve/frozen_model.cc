@@ -164,33 +164,14 @@ void FrozenModel::ConvBank(const Tensor& input,
                   padded->data() + static_cast<int64_t>(j) * d,
                   sizeof(float) * static_cast<size_t>(width) * d);
     }
-    // Convolution = the same MatMulABt kernel the graph path uses, then the
-    // bias add and ReLU applied elementwise exactly as ag::AddRowBroadcast /
-    // ag::Relu would (raw pointers — Tensor::at is checked per call and
-    // would dominate this inner loop).
+    // Convolution = the same MatMulABt kernel the graph path uses; then one
+    // dispatched pass applies bias, ReLU and max-over-time exactly as
+    // ag::AddRowBroadcast / ag::Relu / ag::MaxOverTime would, writing the
+    // pooled features straight into `fused`.
     kddn::MatMulABtInto(&ws->feature_map, ws->windows, weights[i]);
-    float* fm = ws->feature_map.data();
-    const float* bias = biases[i].data();
-    for (int r = 0; r < windows; ++r) {
-      float* row = fm + static_cast<int64_t>(r) * num_filters_;
-      for (int f = 0; f < num_filters_; ++f) {
-        const float v = row[f] + bias[f];
-        row[f] = v < 0.0f ? 0.0f : v;
-      }
-    }
-    // ag::MaxOverTime: strict > keeps the first maximal row, like the graph.
-    float* fused = ws->fused.data() + fused_offset +
-                   static_cast<int64_t>(i) * num_filters_;
-    for (int f = 0; f < num_filters_; ++f) {
-      float best = fm[f];
-      for (int r = 1; r < windows; ++r) {
-        const float v = fm[static_cast<int64_t>(r) * num_filters_ + f];
-        if (v > best) {
-          best = v;
-        }
-      }
-      fused[f] = best;
-    }
+    kddn::BiasReluMaxOverTime(ws->feature_map, biases[i],
+                              ws->fused.data() + fused_offset +
+                                  static_cast<int64_t>(i) * num_filters_);
   }
 }
 

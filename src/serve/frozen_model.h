@@ -23,10 +23,13 @@ namespace kddn::serve {
 /// same float, bit for bit, as NeuralDocumentModel::PredictPositiveProbability
 /// on the source model — at any thread-pool size and in any batch
 /// interleaving. This holds because the matmul/softmax stages call the exact
-/// same deterministic tensor kernels the autograd ops call, and the
-/// elementwise stages (lookup, pad, unfold, relu, max-over-time, concat,
-/// bias add) replicate those ops' arithmetic exactly. tests/serve_test.cc
-/// enforces the contract.
+/// same deterministic tensor kernels the autograd ops call; the conv
+/// epilogue (bias add, ReLU, max-over-time) is one ISA-dispatched kernel,
+/// kddn::BiasReluMaxOverTime, that reads the feature map once and performs
+/// ag::AddRowBroadcast's add and ag::Relu's / ag::MaxOverTime's comparisons
+/// per filter in the same row order; and the copy stages (lookup, pad,
+/// unfold, concat) replicate those ops exactly. tests/serve_test.cc enforces
+/// the contract, short documents (the pad and single-window paths) included.
 class FrozenModel {
  public:
   enum class Kind { kBkDdn, kAkDdn };
@@ -46,7 +49,7 @@ class FrozenModel {
     Tensor iw;            // Concept-queries-words interaction matrix.
     Tensor padded;        // Conv input padded to the largest filter width.
     Tensor windows;       // im2col windows for the current filter width.
-    Tensor feature_map;   // Conv scores [windows, filters].
+    Tensor feature_map;   // Conv scores before the bias [windows, filters].
     Tensor fused;         // [1, out_w + out_c] pooled features.
     Tensor cls_out;       // [1, 2] classifier product before the bias.
     Tensor logits;        // [2].
@@ -82,8 +85,7 @@ class FrozenModel {
   EvalResult EvalExample(const data::Example& example, int label,
                          Workspace* ws) const;
 
-  /// Convenience overload using a thread-local Workspace (the per-thread
-  /// scratch reuse path the engine relies on).
+  /// Convenience overload using a thread-local Workspace.
   float ScorePositive(const data::Example& example) const;
 
   Kind kind() const { return kind_; }

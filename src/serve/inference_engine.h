@@ -106,7 +106,7 @@ struct NotePipeline {
 /// any number of client threads queue on an internal worker; the worker
 /// flushes a batch when `max_batch` requests are waiting or the oldest has
 /// aged past `flush_deadline_ms`, and executes the batch as one fan-out on
-/// the process-wide ThreadPool (per-thread Workspaces, disjoint outputs).
+/// the process-wide ThreadPool (engine-owned Workspaces, disjoint outputs).
 ///
 /// Scores are bitwise identical to the single-example autograd path for
 /// every batch composition and thread count — batching changes scheduling,
@@ -228,6 +228,9 @@ class InferenceEngine {
   void WorkerLoop();
   /// Scores one batch on the global pool and fulfils its promises.
   void ExecuteBatch(std::vector<std::unique_ptr<Request>> batch);
+  /// Pops the warmest free Workspace, or makes an empty one.
+  std::unique_ptr<FrozenModel::Workspace> AcquireWorkspace();
+  void ReleaseWorkspace(std::unique_ptr<FrozenModel::Workspace> ws);
 
   /// Published-snapshot cell. A mutex (not std::atomic<shared_ptr>) because
   /// it is touched once per batch / swap, never per request.
@@ -240,6 +243,15 @@ class InferenceEngine {
   text::StopwordList stopwords_;
 
   Stats stats_;
+
+  /// Frozen-forward scratch for the score jobs, kept as a LIFO free list: a
+  /// job pops the most recently returned (warmest) Workspace and pushes it
+  /// back when done, whichever executor lane ran it. A batch of n requests
+  /// needs at most n of them, and a warm Workspace stays warm under any
+  /// interleaving, so the cache-warm forward allocates no tensor storage.
+  /// Workspaces start empty and grow to the shapes actually served.
+  std::mutex workspace_mutex_;
+  std::vector<std::unique_ptr<FrozenModel::Workspace>> free_workspaces_;
 
   std::mutex cache_mutex_;
   std::unique_ptr<LruCache<uint64_t, std::vector<int>>> concept_cache_;

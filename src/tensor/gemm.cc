@@ -45,6 +45,17 @@ inline void MicroKernelRowsChunk(const float* const a_chunks[kGemmMr],
   }
 }
 
+/// relu(x + bias), with the add and compare of ag::AddRowBroadcast then
+/// ag::Relu.
+inline float BiasRelu(float x, float bias) {
+  const float v = x + bias;
+  return v < 0.0f ? 0.0f : v;
+}
+
+/// ag::MaxOverTime's running max: strict >, so the first maximal row wins a
+/// tie and a NaN best is never replaced.
+inline float KeepGreater(float best, float v) { return v > best ? v : best; }
+
 }  // namespace
 
 void GemmNNScalar(const float* a, const float* b, float* c, int m, int k,
@@ -130,6 +141,21 @@ void GemmNTScalar(const float* a, const float* b, float* c, int m, int k,
   }
 }
 
+void BiasReluMaxScalar(const float* fm, const float* bias, float* out,
+                       int rows, int n) {
+  // Row-major: each row is read once and every filter's running max lives in
+  // out; the per-filter chain is the ascending-row order of the contract.
+  for (int f = 0; f < n; ++f) {
+    out[f] = BiasRelu(fm[f], bias[f]);
+  }
+  for (int r = 1; r < rows; ++r) {
+    const float* row = fm + static_cast<int64_t>(r) * n;
+    for (int f = 0; f < n; ++f) {
+      out[f] = KeepGreater(out[f], BiasRelu(row[f], bias[f]));
+    }
+  }
+}
+
 void GemmNNNaive(const float* a, const float* b, float* c, int m, int k, int n,
                  int row_begin, int row_end) {
   for (int i = row_begin; i < row_end; ++i) {
@@ -184,7 +210,8 @@ void GemmNTNaive(const float* a, const float* b, float* c, int m, int k, int n,
 namespace {
 
 GemmSimdKernels ScalarKernels() {
-  return {&GemmNNScalar, &GemmTNScalar, &GemmNTScalar, "scalar"};
+  return {&GemmNNScalar, &GemmTNScalar, &GemmNTScalar, &BiasReluMaxScalar,
+          "scalar"};
 }
 
 }  // namespace

@@ -36,6 +36,12 @@ namespace kddn::detail {
 /// operations, which is what makes scalar and vector lanes bit-equal (an FMA
 /// would skip the intermediate rounding; NEON's vmlaq fuses and must not be
 /// used). Likewise there is no data-dependent branching in the hot kernels.
+///
+/// The convolution epilogue below (bias + ReLU + max-over-time) joins the
+/// per-ISA set under the matching rule: no max/min instruction. x86
+/// maxps/minps and NEON vmaxq/vminq each have their own NaN and signed-zero
+/// conventions, so the SIMD epilogue builds both steps from compare masks and
+/// selects, which perform exactly the scalar comparisons below.
 
 /// k-extent of one cache-resident panel chunk.
 inline constexpr int kGemmKc = 256;
@@ -64,6 +70,18 @@ inline float TreeReduce8(const float lanes[kGemmLanes]) {
 using GemmFn = void (*)(const float* a, const float* b, float* c, int m,
                         int k, int n, int row_begin, int row_end);
 
+/// Convolution epilogue over a row-major feature map fm [rows, n] and a bias
+/// [n]: for every filter f,
+///   out[f] = max over r = 0..rows-1, ascending, of relu(fm[r,f] + bias[f])
+/// with relu(v) = (v < 0 ? 0 : v) and the running max
+/// best = (v > best ? v : best), best starting at row 0. These are exactly
+/// the comparisons of ag::Relu and ag::MaxOverTime, so NaN, -0.0 and
+/// first-maximum ties produce the bits AddRowBroadcast -> Relu ->
+/// MaxOverTime produces. Vector lanes are filters — independent elements —
+/// so vectorising cannot change a bit. rows must be >= 1.
+using ConvEpilogueFn = void (*)(const float* fm, const float* bias,
+                                float* out, int rows, int n);
+
 /// Scalar lane-faithful reference kernels: plain C++ implementations of the
 /// canonical order above. Production fallback on hosts without a compiled
 /// SIMD ISA, and the bitwise reference the SIMD kernels are tested against
@@ -80,6 +98,11 @@ void GemmTNScalar(const float* a, const float* b, float* c, int m, int k,
 /// C[i,j] += sum_k A[i,k] * B[j,k].  A: [m,k], B: [n,k] (B read transposed).
 void GemmNTScalar(const float* a, const float* b, float* c, int m, int k,
                   int n, int row_begin, int row_end);
+
+/// The ConvEpilogueFn contract above in plain scalar code; the SIMD kernels
+/// also run it when there are fewer filters than one vector.
+void BiasReluMaxScalar(const float* fm, const float* bias, float* out,
+                       int rows, int n);
 
 /// Naive reference kernels: the original pre-blocking element loops with
 /// their data-dependent zero skip and single ascending-k chain per element.
@@ -101,6 +124,7 @@ struct GemmSimdKernels {
   GemmFn nn;
   GemmFn tn;
   GemmFn nt;
+  ConvEpilogueFn bias_relu_max;
   const char* isa;
 };
 

@@ -26,6 +26,14 @@ struct Avx2V {
   static Reg MulAdd(Reg acc, Reg a, Reg b) {
     return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
   }
+  static Reg Add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
+  static Reg ZeroIfNegative(Reg v) {
+    return _mm256_andnot_ps(
+        _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_LT_OQ), v);
+  }
+  static Reg KeepGreater(Reg best, Reg v) {
+    return _mm256_blendv_ps(best, v, _mm256_cmp_ps(v, best, _CMP_GT_OQ));
+  }
 };
 
 }  // namespace
@@ -33,7 +41,7 @@ struct Avx2V {
 const GemmSimdKernels* GetGemmKernelsAvx2() {
   static const GemmSimdKernels kernels = {
       &SimdGemm<Avx2V>::GemmNN, &SimdGemm<Avx2V>::GemmTN,
-      &SimdGemm<Avx2V>::GemmNT, "avx2"};
+      &SimdGemm<Avx2V>::GemmNT, &SimdGemm<Avx2V>::BiasReluMax, "avx2"};
   return &kernels;
 }
 

@@ -37,6 +37,22 @@ struct NeonV {
     return {vaddq_f32(acc.lo, vmulq_f32(a.lo, b.lo)),
             vaddq_f32(acc.hi, vmulq_f32(a.hi, b.hi))};
   }
+  static Reg Add(Reg a, Reg b) {
+    return {vaddq_f32(a.lo, b.lo), vaddq_f32(a.hi, b.hi)};
+  }
+  static float32x4_t ZeroIfNegative(float32x4_t v) {
+    const float32x4_t zero = vdupq_n_f32(0.0f);
+    return vbslq_f32(vcltq_f32(v, zero), zero, v);
+  }
+  static Reg ZeroIfNegative(Reg v) {
+    return {ZeroIfNegative(v.lo), ZeroIfNegative(v.hi)};
+  }
+  static float32x4_t KeepGreater(float32x4_t best, float32x4_t v) {
+    return vbslq_f32(vcgtq_f32(v, best), v, best);
+  }
+  static Reg KeepGreater(Reg best, Reg v) {
+    return {KeepGreater(best.lo, v.lo), KeepGreater(best.hi, v.hi)};
+  }
 };
 
 }  // namespace
@@ -44,7 +60,7 @@ struct NeonV {
 const GemmSimdKernels* GetGemmKernelsNeon() {
   static const GemmSimdKernels kernels = {
       &SimdGemm<NeonV>::GemmNN, &SimdGemm<NeonV>::GemmTN,
-      &SimdGemm<NeonV>::GemmNT, "neon"};
+      &SimdGemm<NeonV>::GemmNT, &SimdGemm<NeonV>::BiasReluMax, "neon"};
   return &kernels;
 }
 

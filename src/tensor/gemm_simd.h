@@ -17,14 +17,19 @@
 ///     static void Store(float* p, Reg r);     // unaligned
 ///     static Reg Broadcast(float v);
 ///     static Reg MulAdd(Reg acc, Reg a, Reg b);  // acc + a*b, TWO roundings
+///     static Reg Add(Reg a, Reg b);
+///     static Reg ZeroIfNegative(Reg v);          // v < 0 ? 0 : v
+///     static Reg KeepGreater(Reg best, Reg v);   // v > best ? v : best
 ///   };
 ///
 /// MulAdd must be a separate IEEE multiply and add — never a fused
 /// multiply-add — so each vector lane performs bit-for-bit the operations of
-/// the scalar reference (DESIGN.md §9). Lane l of every register always holds
-/// the data a scalar run would process at the same position, which is why no
-/// kernel here needs its own correctness argument beyond "the loop structure
-/// matches gemm.cc".
+/// the scalar reference (DESIGN.md §9). ZeroIfNegative and KeepGreater must
+/// be an ordered compare and a mask select — never a max/min instruction,
+/// whose NaN and signed-zero rules differ from the scalar comparisons. Lane l
+/// of every register always holds the data a scalar run would process at the
+/// same position, which is why no kernel here needs its own correctness
+/// argument beyond "the loop structure matches gemm.cc".
 
 #include <algorithm>
 #include <cstdint>
@@ -233,6 +238,48 @@ struct SimdGemm {
                                    b + static_cast<int64_t>(j) * k + kc, klen);
         }
       }
+    }
+  }
+
+  /// relu(x + bias) for one vector of filters.
+  static Reg BiasRelu(const float* x, const float* bias) {
+    return V::ZeroIfNegative(V::Add(V::Load(x), V::Load(bias)));
+  }
+
+  /// The ConvEpilogueFn contract (gemm.h). Each strip walks four vectors of
+  /// filters down the rows together, so four compare/select chains overlap;
+  /// each vector still sees its rows in ascending order. Vector offsets are
+  /// clamped to the last full vector: where fewer than four vectors remain,
+  /// or n is not a multiple of kGemmLanes, a clamped vector recomputes
+  /// filters another vector also computes, with the same operations and so
+  /// the same bits, and storing them twice changes nothing.
+  static void BiasReluMax(const float* fm, const float* bias, float* out,
+                          int rows, int n) {
+    if (n < kGemmLanes) {
+      BiasReluMaxScalar(fm, bias, out, rows, n);
+      return;
+    }
+    const int last = n - kGemmLanes;
+    for (int f = 0; f < n; f += 4 * kGemmLanes) {
+      const int a0 = std::min(f, last);
+      const int a1 = std::min(f + kGemmLanes, last);
+      const int a2 = std::min(f + 2 * kGemmLanes, last);
+      const int a3 = std::min(f + 3 * kGemmLanes, last);
+      Reg m0 = BiasRelu(fm + a0, bias + a0);
+      Reg m1 = BiasRelu(fm + a1, bias + a1);
+      Reg m2 = BiasRelu(fm + a2, bias + a2);
+      Reg m3 = BiasRelu(fm + a3, bias + a3);
+      for (int r = 1; r < rows; ++r) {
+        const float* row = fm + static_cast<int64_t>(r) * n;
+        m0 = V::KeepGreater(m0, BiasRelu(row + a0, bias + a0));
+        m1 = V::KeepGreater(m1, BiasRelu(row + a1, bias + a1));
+        m2 = V::KeepGreater(m2, BiasRelu(row + a2, bias + a2));
+        m3 = V::KeepGreater(m3, BiasRelu(row + a3, bias + a3));
+      }
+      V::Store(out + a0, m0);
+      V::Store(out + a1, m1);
+      V::Store(out + a2, m2);
+      V::Store(out + a3, m3);
     }
   }
 };

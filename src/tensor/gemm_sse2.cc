@@ -35,6 +35,22 @@ struct Sse2V {
     return {_mm_add_ps(acc.lo, _mm_mul_ps(a.lo, b.lo)),
             _mm_add_ps(acc.hi, _mm_mul_ps(a.hi, b.hi))};
   }
+  static Reg Add(Reg a, Reg b) {
+    return {_mm_add_ps(a.lo, b.lo), _mm_add_ps(a.hi, b.hi)};
+  }
+  static __m128 ZeroIfNegative(__m128 v) {
+    return _mm_andnot_ps(_mm_cmplt_ps(v, _mm_setzero_ps()), v);
+  }
+  static Reg ZeroIfNegative(Reg v) {
+    return {ZeroIfNegative(v.lo), ZeroIfNegative(v.hi)};
+  }
+  static __m128 KeepGreater(__m128 best, __m128 v) {
+    const __m128 take = _mm_cmpgt_ps(v, best);
+    return _mm_or_ps(_mm_and_ps(take, v), _mm_andnot_ps(take, best));
+  }
+  static Reg KeepGreater(Reg best, Reg v) {
+    return {KeepGreater(best.lo, v.lo), KeepGreater(best.hi, v.hi)};
+  }
 };
 
 }  // namespace
@@ -42,7 +58,7 @@ struct Sse2V {
 const GemmSimdKernels* GetGemmKernelsSse2() {
   static const GemmSimdKernels kernels = {
       &SimdGemm<Sse2V>::GemmNN, &SimdGemm<Sse2V>::GemmTN,
-      &SimdGemm<Sse2V>::GemmNT, "sse2"};
+      &SimdGemm<Sse2V>::GemmNT, &SimdGemm<Sse2V>::BiasReluMax, "sse2"};
   return &kernels;
 }
 

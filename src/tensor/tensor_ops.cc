@@ -264,6 +264,19 @@ void MatMulABtInto(Tensor* out, const Tensor& a, const Tensor& b) {
   DispatchGemm(PickNT(), a.data(), b.data(), out->data(), d.m, d.k, d.n);
 }
 
+void BiasReluMaxOverTime(const Tensor& feature_map, const Tensor& bias,
+                         float* out) {
+  CheckRank2(feature_map, "BiasReluMaxOverTime input");
+  const int rows = feature_map.dim(0), n = feature_map.dim(1);
+  KDDN_CHECK_GT(rows, 0) << "BiasReluMaxOverTime over zero rows";
+  KDDN_CHECK_EQ(bias.size(), n) << "BiasReluMaxOverTime bias width mismatch";
+  const detail::ConvEpilogueFn fn =
+      g_gemm_kernel.load(std::memory_order_relaxed) == GemmKernel::kAuto
+          ? detail::ActiveGemmImpl().bias_relu_max
+          : detail::BiasReluMaxScalar;
+  fn(feature_map.data(), bias.data(), out, rows, n);
+}
+
 Tensor Transpose(const Tensor& a) {
   CheckRank2(a, "Transpose");
   const int m = a.dim(0), n = a.dim(1);

@@ -72,6 +72,15 @@ void MatMulABtInto(Tensor* out, const Tensor& a, const Tensor& b);
 /// Row-wise softmax into `*out` (storage reused like MatMulInto).
 void SoftmaxRowsInto(Tensor* out, const Tensor& a);
 
+/// Convolution epilogue: out[f] = max over rows r of
+/// relu(feature_map[r, f] + bias[f]), bitwise what ag::AddRowBroadcast ->
+/// ag::Relu -> ag::MaxOverTime produce (src/tensor/gemm.h states the exact
+/// comparisons). `out` receives feature_map.dim(1) floats. Dispatched with
+/// the MatMul forms: kAuto runs the host's SIMD kernel, kScalar and kNaive
+/// the scalar reference — the same bits either way.
+void BiasReluMaxOverTime(const Tensor& feature_map, const Tensor& bias,
+                         float* out);
+
 /// Matrix transpose of a rank-2 tensor.
 Tensor Transpose(const Tensor& a);
 

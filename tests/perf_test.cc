@@ -1,6 +1,7 @@
 // Performance-architecture tests (DESIGN.md §9): the runtime-dispatched SIMD
 // GEMM kernels must match the scalar lane-faithful reference bitwise at every
-// awkward shape, lane remainder, thread count, and special-value pattern; the
+// awkward shape, lane remainder, thread count, and special-value pattern, and
+// so must the conv epilogue kernel (bias + ReLU + max-over-time); the
 // dispatch logic must pick the widest compiled-in ISA and honour the
 // force-scalar override; the TensorPool must recycle storage without leaking
 // stale bytes into results; the row tracker must obey its marking rules; and
@@ -261,6 +262,193 @@ TEST(GemmKernelTest, IntoVariantsMatchAllocatingForms) {
   ExpectBitwiseEqual(out, MatMulAtB(at, b), "MatMulAtBInto");
   SoftmaxRowsInto(&out, a);
   ExpectBitwiseEqual(out, SoftmaxRows(a), "SoftmaxRowsInto");
+}
+
+// ---------------------------------------------------------------------------
+// Convolution epilogue (bias + ReLU + max-over-time): every compiled ISA's
+// kernel, and the dispatched one, must reproduce the scalar reference bit
+// for bit, and the reference must reproduce the training graph's
+// AddRowBroadcast -> Relu -> MaxOverTime.
+// ---------------------------------------------------------------------------
+
+struct EpilogueKernel {
+  std::string name;
+  detail::ConvEpilogueFn fn;
+};
+
+/// The dispatched kernel plus every compiled-in ISA kernel this host can
+/// run. Under KDDN_FORCE_SCALAR_GEMM the dispatched one is the reference.
+std::vector<EpilogueKernel> EpilogueKernelsUnderTest() {
+  std::vector<EpilogueKernel> kernels = {
+      {std::string("active:") + detail::GemmIsaName(),
+       detail::ActiveGemmImpl().bias_relu_max}};
+  const CpuFeatures& host = CpuFeaturesDetected();
+  const std::pair<bool, const detail::GemmSimdKernels*> compiled[] = {
+      {host.avx2, detail::GetGemmKernelsAvx2()},
+      {host.sse2, detail::GetGemmKernelsSse2()},
+      {host.neon, detail::GetGemmKernelsNeon()}};
+  for (const auto& [supported, set] : compiled) {
+    if (supported && set != nullptr) {
+      kernels.push_back({set->isa, set->bias_relu_max});
+    }
+  }
+  return kernels;
+}
+
+std::vector<float> RunEpilogue(detail::ConvEpilogueFn fn, const Tensor& fm,
+                               const Tensor& bias) {
+  std::vector<float> out(static_cast<size_t>(fm.dim(1)));
+  fn(fm.data(), bias.data(), out.data(), fm.dim(0), fm.dim(1));
+  return out;
+}
+
+/// The training graph's epilogue on the same operands.
+std::vector<float> GraphEpilogue(const Tensor& fm, const Tensor& bias) {
+  const ag::NodePtr x = ag::Node::Leaf(fm, false);
+  const ag::NodePtr b = ag::Node::Leaf(bias, false);
+  const Tensor pooled =
+      ag::MaxOverTime(ag::Relu(ag::AddRowBroadcast(x, b)))->value();
+  return {pooled.data(), pooled.data() + pooled.size()};
+}
+
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t f = 0; f < got.size(); ++f) {
+    EXPECT_EQ(std::memcmp(&got[f], &want[f], sizeof(float)), 0)
+        << what << ": filter " << f << " is " << got[f] << ", want "
+        << want[f];
+  }
+}
+
+/// Filter counts 1 .. 2*kGemmLanes+3 (every remainder class against the
+/// vector width, below and above one vector), the four-vector block and its
+/// neighbours, and the model default of 50; row counts 1..5 and a long
+/// document's 254.
+std::vector<int> EpilogueFilterCounts() {
+  std::vector<int> counts;
+  for (int n = 1; n <= 2 * detail::kGemmLanes + 3; ++n) {
+    counts.push_back(n);
+  }
+  for (int n : {4 * detail::kGemmLanes - 1, 4 * detail::kGemmLanes,
+                4 * detail::kGemmLanes + 1, 50, 8 * detail::kGemmLanes + 5}) {
+    counts.push_back(n);
+  }
+  return counts;
+}
+
+constexpr int kEpilogueRows[] = {1, 2, 3, 4, 5, 254};
+
+TEST(GemmKernelTest, ConvEpilogueMatchesScalarReferenceAcrossShapes) {
+  Rng rng(4242);
+  const std::vector<EpilogueKernel> kernels = EpilogueKernelsUnderTest();
+  for (int n : EpilogueFilterCounts()) {
+    for (int rows : kEpilogueRows) {
+      const Tensor fm = RandomNormal({rows, n}, 0, 1, &rng);
+      const Tensor bias = RandomNormal({n}, 0, 1, &rng);
+      const std::vector<float> want =
+          RunEpilogue(detail::BiasReluMaxScalar, fm, bias);
+      const std::string shape =
+          " at rows=" + std::to_string(rows) + " n=" + std::to_string(n);
+      ExpectSameBits(want, GraphEpilogue(fm, bias), "scalar vs graph" + shape);
+      for (const EpilogueKernel& kernel : kernels) {
+        ExpectSameBits(RunEpilogue(kernel.fn, fm, bias), want,
+                       kernel.name + shape);
+      }
+    }
+  }
+}
+
+/// Special values, one pattern per filter column: NaN in row 0 (it stays the
+/// max) and in a later row (it never wins); signed-zero ties (-0.0 + -0.0
+/// stays -0.0 through the ReLU and must not be replaced by a later +0.0);
+/// infinities; subnormals; and an all-negative column (pools to +0.0). A
+/// max/min instruction or a reordered comparison breaks at least one.
+TEST(GemmKernelTest, ConvEpilogueSpecialValuesMatchBitwise) {
+  Rng rng(99);
+  const std::vector<EpilogueKernel> kernels = EpilogueKernelsUnderTest();
+  constexpr int kPatterns = 8;
+  for (int n : EpilogueFilterCounts()) {
+    for (int rows : kEpilogueRows) {
+      Tensor fm = RandomNormal({rows, n}, 0, 1, &rng);
+      Tensor bias = RandomNormal({n}, 0, 1, &rng);
+      for (int f = 0; f < n; ++f) {
+        const auto set = [&](int r, float v) {
+          if (r < rows) {
+            fm.data()[static_cast<int64_t>(r) * n + f] = v;
+          }
+        };
+        switch ((f + rows) % kPatterns) {
+          case 0:  // NaN in row 0.
+            set(0, NAN);
+            break;
+          case 1:  // NaN after the first row.
+            set(rows - 1, NAN);
+            set(1, -NAN);
+            break;
+          case 2:  // Signed-zero ties.
+            bias.data()[f] = -0.0f;
+            for (int r = 0; r < rows; ++r) {
+              set(r, r % 2 == 0 ? -0.0f : 0.0f);
+            }
+            break;
+          case 3:  // Infinities, with a zero bias.
+            bias.data()[f] = 0.0f;
+            set(0, -INFINITY);
+            set(2, INFINITY);
+            set(3, -INFINITY);
+            break;
+          case 4:  // Subnormals and a subnormal bias.
+            bias.data()[f] = -1e-42f;
+            for (int r = 0; r < rows; ++r) {
+              set(r, r % 3 == 0 ? 2e-42f : -3e-42f);
+            }
+            break;
+          case 5:  // All negative: every row ReLUs to +0.0.
+            bias.data()[f] = -1.0f;
+            for (int r = 0; r < rows; ++r) {
+              set(r, -1.0f - static_cast<float>(r));
+            }
+            break;
+          case 6:  // Infinite bias against an opposite infinity: NaN.
+            bias.data()[f] = INFINITY;
+            set(1, -INFINITY);
+            break;
+          default:  // Equal finite maxima: the first one is kept.
+            set(0, 2.5f);
+            set(rows - 1, 2.5f);
+            break;
+        }
+      }
+      const std::vector<float> want =
+          RunEpilogue(detail::BiasReluMaxScalar, fm, bias);
+      const std::string shape =
+          " at rows=" + std::to_string(rows) + " n=" + std::to_string(n);
+      ExpectSameBits(want, GraphEpilogue(fm, bias), "scalar vs graph" + shape);
+      for (const EpilogueKernel& kernel : kernels) {
+        ExpectSameBits(RunEpilogue(kernel.fn, fm, bias), want,
+                       kernel.name + shape);
+      }
+    }
+  }
+}
+
+/// The public entry point follows SetGemmKernel like the MatMul forms and
+/// returns the same bits in every mode.
+TEST(GemmKernelTest, ConvEpilogueEntryPointFollowsKernelMode) {
+  GemmKernelGuard guard;
+  Rng rng(7);
+  const Tensor fm = RandomNormal({37, 50}, 0, 1, &rng);
+  const Tensor bias = RandomNormal({50}, 0, 1, &rng);
+  const std::vector<float> want =
+      RunEpilogue(detail::BiasReluMaxScalar, fm, bias);
+  for (GemmKernel mode :
+       {GemmKernel::kAuto, GemmKernel::kScalar, GemmKernel::kNaive}) {
+    SetGemmKernel(mode);
+    std::vector<float> got(50);
+    BiasReluMaxOverTime(fm, bias, got.data());
+    ExpectSameBits(got, want, GemmKernelName(mode));
+  }
 }
 
 // ---------------------------------------------------------------------------

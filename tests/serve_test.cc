@@ -23,6 +23,7 @@
 #include "serve/inference_engine.h"
 #include "serve/lru_cache.h"
 #include "serve/stats.h"
+#include "tensor/tensor_ops.h"
 
 namespace kddn {
 namespace {
@@ -111,10 +112,10 @@ class PoolSizeGuard {
 // several batch shapes.
 // ---------------------------------------------------------------------------
 class GoldenPredictionTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
  protected:
   models::NeuralDocumentModel* Model() const {
-    return std::string(std::get<0>(GetParam())) == "BK-DDN"
+    return std::get<0>(GetParam()) == "BK-DDN"
                ? static_cast<models::NeuralDocumentModel*>(World().bk.get())
                : static_cast<models::NeuralDocumentModel*>(World().ak.get());
   }
@@ -162,9 +163,76 @@ TEST_P(GoldenPredictionTest, EngineMatchesAutogradAtEveryBatchShape) {
   }
 }
 
+/// Short documents: 1-, 2- and 3-token word sequences (the widest filter is
+/// 3, so these take the pad path and the single-window path) and 1-concept
+/// sequences, cut from real test examples, plus the uncut examples. Scored
+/// by the trained model and by fresh models with 19 filters (two vectors
+/// plus a remainder) and 50 (the paper's count), so the conv epilogue's
+/// vector blocks and its remainder both meet these shapes; and scored under
+/// both the dispatched SIMD kernels and the scalar reference kernels, which
+/// must give the graph's bits alike.
+TEST_P(GoldenPredictionTest, ShortDocumentsMatchAutogradBitwise) {
+  PoolSizeGuard guard;
+  std::vector<data::Example> shorts;
+  for (const data::Example& example : GoldenExamples(6)) {
+    ASSERT_GE(example.word_ids.size(), 3u);
+    ASSERT_GE(example.concept_ids.size(), 1u);
+    for (size_t words : {1u, 2u, 3u}) {
+      data::Example cut = example;
+      cut.word_ids.resize(words);
+      shorts.push_back(cut);
+      cut.concept_ids.resize(1);
+      shorts.push_back(cut);
+    }
+    data::Example one_concept = example;
+    one_concept.concept_ids.resize(1);
+    shorts.push_back(one_concept);
+    shorts.push_back(example);
+  }
+
+  std::vector<std::unique_ptr<models::NeuralDocumentModel>> fresh;
+  for (int filters : {19, 50}) {
+    models::ModelConfig config = Model()->config();
+    config.num_filters = filters;
+    if (std::get<0>(GetParam()) == "BK-DDN") {
+      fresh.push_back(std::make_unique<models::BkDdn>(config));
+    } else {
+      fresh.push_back(std::make_unique<models::AkDdn>(config));
+    }
+  }
+  std::vector<models::NeuralDocumentModel*> models = {Model()};
+  for (const auto& model : fresh) {
+    models.push_back(model.get());
+  }
+
+  const GemmKernel previous_kernel = GetGemmKernel();
+  for (models::NeuralDocumentModel* model : models) {
+    const std::vector<float> reference = ReferenceScores(model, shorts);
+    const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*model);
+    SetGlobalThreadPoolSize(Threads());
+    for (GemmKernel kernel : {GemmKernel::kAuto, GemmKernel::kScalar}) {
+      SetGemmKernel(kernel);
+      serve::FrozenModel::Workspace ws;
+      for (size_t i = 0; i < shorts.size(); ++i) {
+        EXPECT_EQ(frozen.ScorePositive(shorts[i], &ws), reference[i])
+            << model->name() << " with " << model->config().num_filters
+            << " filters, " << shorts[i].word_ids.size() << " words / "
+            << shorts[i].concept_ids.size() << " concepts, "
+            << GemmKernelName(kernel) << " kernels, at " << Threads()
+            << " threads";
+      }
+    }
+    SetGemmKernel(previous_kernel);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndThreads, GoldenPredictionTest,
-    ::testing::Combine(::testing::Values("BK-DDN", "AK-DDN"),
+    // std::string, not const char*: gtest prints a char pointer with its
+    // address, which would put a load-address-dependent value in the test
+    // names that ctest discovers.
+    ::testing::Combine(::testing::Values(std::string("BK-DDN"),
+                                         std::string("AK-DDN")),
                        ::testing::Values(1, 2, 4)));
 
 // ---------------------------------------------------------------------------
