@@ -25,9 +25,11 @@
 // (DESIGN.md §9).
 //
 // Run with --pipeline_json[=path] to emit BENCH_pipeline.json: build + train
-// + per-epoch eval wall-clock of a validation-heavy workload under the PR-4
-// baseline vs the overlapped input pipeline and fused gradient-free eval
-// (DESIGN.md §10), asserting bitwise-identical weights and curves.
+// + per-epoch eval wall-clock of a validation-heavy workload — dataset build
+// at pool size 1 vs the host's thread count, training at 1 vs the host's
+// thread count, and the isolated double-pass vs fused gradient-free eval
+// (DESIGN.md §10) — asserting byte-identical builds and bitwise-identical
+// weights and curves.
 //
 // Run with --trace_json[=path] to emit BENCH_trace.json: the observability
 // invariants (DESIGN.md §12) — per-span overhead with tracing disabled (the
@@ -39,8 +41,9 @@
 // Run with --jobs_json[=path] to emit BENCH_jobs.json: the job-graph
 // executor's overlap speedup over the fork/join barrier schedule on a
 // staged pipeline at pool size 2 (plus steady-state jobs/sec across reused
-// generations), and the bitwise weight/curve identity of job-graph vs
-// legacy training (DESIGN.md §14). Gated by scripts/check_bench.py.
+// generations), and the bitwise weight/curve identity of job-graph
+// training at 1 vs 2 threads (DESIGN.md §14). Gated by
+// scripts/check_bench.py.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -50,6 +53,7 @@
 #include <fstream>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -410,6 +414,68 @@ int RunServeBench(const std::string& out_path) {
   return bitwise ? 0 : 1;
 }
 
+/// Parameter values of a model, registration order.
+std::vector<Tensor> ParamValues(const models::NeuralDocumentModel& model) {
+  std::vector<Tensor> values;
+  for (const ag::NodePtr& param : model.params().all()) {
+    values.push_back(param->value());
+  }
+  return values;
+}
+
+bool SameWeights(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t p = 0; p < a.size(); ++p) {
+    if (!a[p].SameShape(b[p]) ||
+        std::memcmp(a[p].data(), b[p].data(), a[p].size() * sizeof(float)) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameCurve(const std::vector<eval::CurvePoint>& a,
+               const std::vector<eval::CurvePoint>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t p = 0; p < a.size(); ++p) {
+    if (a[p].epoch != b[p].epoch || a[p].train_loss != b[p].train_loss ||
+        a[p].validation_loss != b[p].validation_loss ||
+        a[p].validation_auc != b[p].validation_auc) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A BK-DDN training run on the in-hospital horizon: best-of-`reps` wall
+/// clock plus the trained weights and curve (reps are deterministic, so the
+/// last copy stands for all of them).
+struct TrainedRun {
+  double seconds = 0.0;
+  std::vector<Tensor> weights;
+  std::vector<eval::CurvePoint> curve;
+};
+
+TrainedRun TrainBkDdn(const models::ModelConfig& config,
+                      const core::TrainOptions& options,
+                      const data::MortalityDataset& dataset, int reps) {
+  TrainedRun run;
+  run.seconds = BestSeconds(reps, [&] {
+    models::BkDdn model(config);
+    const eval::CurveRecorder recorder = core::Trainer(options).Train(
+        &model, dataset.train(), dataset.validation(),
+        synth::Horizon::kInHospital);
+    run.weights = ParamValues(model);
+    run.curve = recorder.points();
+  });
+  return run;
+}
+
 /// One row of the training bench: a GEMM kernel choice plus a gradient mode.
 struct TrainMode {
   const char* name;
@@ -495,10 +561,7 @@ int RunTrainBench(const std::string& out_path) {
       core::Trainer trainer(train_options);
       trainer.Train(&model, dataset.train(), dataset.validation(),
                     synth::Horizon::kInHospital);
-      weights[i].clear();  // Reps are deterministic; keep the last copy.
-      for (const ag::NodePtr& param : model.params().all()) {
-        weights[i].push_back(param->value());
-      }
+      weights[i] = ParamValues(model);  // Reps are deterministic.
     }));
     SetGemmTimingEnabled(false);
     // Both BestSeconds reps run the identical GEMM sequence; halving the
@@ -513,21 +576,8 @@ int RunTrainBench(const std::string& out_path) {
 
   // Bitwise agreement across the canonical-order rows, anchored on the
   // scalar lane-faithful reference (row 1).
-  auto same_weights = [&](int i, int j) {
-    if (weights[i].size() != weights[j].size()) {
-      return false;
-    }
-    for (size_t p = 0; p < weights[i].size(); ++p) {
-      if (!weights[i][p].SameShape(weights[j][p]) ||
-          std::memcmp(weights[i][p].data(), weights[j][p].data(),
-                      weights[j][p].size() * sizeof(float)) != 0) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const bool simd_vs_scalar = same_weights(1, 2);
-  const bool bitwise = simd_vs_scalar && same_weights(1, 3);
+  const bool simd_vs_scalar = SameWeights(weights[1], weights[2]);
+  const bool bitwise = simd_vs_scalar && SameWeights(weights[1], weights[3]);
 
   const double speedup = seconds[0] / seconds[3];
   std::ofstream out(out_path);
@@ -596,13 +646,17 @@ int RunTrainBench(const std::string& out_path) {
 
 /// Emits BENCH_pipeline.json: the input-pipeline / evaluation-path
 /// acceptance artifact (DESIGN.md §10). One validation-heavy workload is
-/// built and trained three ways — the PR-4 baseline (inline batch assembly,
-/// MeanLoss + EvaluateAuc double pass), prefetch only, and the full pipeline
-/// (prefetched batches + fused gradient-free eval) — plus a serial-vs-
-/// parallel dataset build and an isolated eval-pass comparison. Fails
-/// (exit 1) unless the three trained weight sets are bitwise identical, the
-/// baseline and pipelined validation curves are bitwise equal, and the
-/// parallel build reproduces the serial build's bytes.
+/// built at pool size 1 (JobExecutor runs the build graph inline there: the
+/// serial loop) and at the host's thread count, trained at one thread and at
+/// the host's thread count, and its validation pass is timed in isolation:
+/// the historical double pass (a loss sweep, then a score sweep) built from
+/// public calls, against the one fused gradient-free sweep the trainer
+/// runs. end_to_end_speedup prices the layers the pipeline removed, measured
+/// in the same run: the pool-1 build plus one extra double pass per epoch,
+/// against the parallel build; the one-thread training run is on both
+/// sides. Fails (exit 1) unless both builds are byte-identical, both
+/// trainings give bitwise-identical weights and curves, and the isolated
+/// passes agree.
 int RunPipelineBench(const std::string& out_path) {
   auto kb = kb::KnowledgeBase::BuildDefault();
   kb::ConceptExtractor extractor(&kb);
@@ -610,29 +664,30 @@ int RunPipelineBench(const std::string& out_path) {
   cohort_config.num_patients = 300;
   cohort_config.seed = 21;
   const synth::Cohort cohort = synth::Cohort::Generate(cohort_config, kb);
+  const int nproc =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 
   // Validation-heavy on purpose: the paper's per-epoch curve costs one
   // validation sweep per epoch, and this workload makes that sweep a large
-  // share of the epoch so the eval-path change is visible in end-to-end
-  // wall-clock even on a single-core host (where the overlap layers can
-  // only break even).
+  // share of the epoch so the eval-path cost is visible in end-to-end
+  // wall-clock even on a single-core host.
   data::DatasetOptions data_options;
   data_options.max_words = 64;
   data_options.max_concepts = 32;
   data_options.test_fraction = 0.2;
   data_options.validation_fraction = 0.5;
 
-  data_options.parallel_build = false;
-  data::MortalityDataset serial_dataset =
+  SetGlobalThreadPoolSize(1);
+  data::MortalityDataset pool1_dataset =
       data::MortalityDataset::Build(cohort, extractor, data_options);
-  const double serial_build_s = BestSeconds(3, [&] {
-    serial_dataset = data::MortalityDataset::Build(cohort, extractor,
-                                                   data_options);
+  const double pool1_build_s = BestSeconds(3, [&] {
+    pool1_dataset =
+        data::MortalityDataset::Build(cohort, extractor, data_options);
   });
-  data_options.parallel_build = true;
+  SetGlobalThreadPoolSize(nproc);
   data::MortalityDataset dataset =
       data::MortalityDataset::Build(cohort, extractor, data_options);
-  const double parallel_build_s = BestSeconds(3, [&] {
+  const double nproc_build_s = BestSeconds(3, [&] {
     dataset = data::MortalityDataset::Build(cohort, extractor, data_options);
   });
 
@@ -651,12 +706,12 @@ int RunPipelineBench(const std::string& out_path) {
     return true;
   };
   const bool build_identical =
-      same_split(dataset.train(), serial_dataset.train()) &&
-      same_split(dataset.validation(), serial_dataset.validation()) &&
-      same_split(dataset.test(), serial_dataset.test()) &&
-      dataset.excluded_zero_concept() == serial_dataset.excluded_zero_concept();
-  std::printf("build serial=%.3fs parallel=%.3fs identical=%s\n",
-              serial_build_s, parallel_build_s, build_identical ? "yes" : "NO");
+      same_split(dataset.train(), pool1_dataset.train()) &&
+      same_split(dataset.validation(), pool1_dataset.validation()) &&
+      same_split(dataset.test(), pool1_dataset.test()) &&
+      dataset.excluded_zero_concept() == pool1_dataset.excluded_zero_concept();
+  std::printf("build pool=1 %.3fs pool=%d %.3fs identical=%s\n", pool1_build_s,
+              nproc, nproc_build_s, build_identical ? "yes" : "NO");
 
   models::ModelConfig model_config;
   model_config.word_vocab_size = dataset.word_vocab().size();
@@ -670,66 +725,24 @@ int RunPipelineBench(const std::string& out_path) {
   base_options.batch_size = 16;
   base_options.num_threads = 1;
   base_options.seed = 7;
-
-  struct PipelineMode {
-    const char* name;
-    bool prefetch;
-    bool fused_eval;
-  };
-  const PipelineMode modes[] = {
-      {"baseline_two_pass", false, false},  // PR-4 epoch cost profile.
-      {"prefetch_only", true, false},
-      {"pipelined_fused", true, true},
-  };
   const synth::Horizon horizon = synth::Horizon::kInHospital;
-  std::vector<double> train_s;
-  std::vector<std::vector<Tensor>> weights(3);
-  std::vector<std::vector<eval::CurvePoint>> curves(3);
-  for (int i = 0; i < 3; ++i) {
-    core::TrainOptions options = base_options;
-    options.prefetch = modes[i].prefetch;
-    options.fused_eval = modes[i].fused_eval;
-    train_s.push_back(BestSeconds(2, [&] {
-      models::BkDdn model(model_config);
-      core::Trainer trainer(options);
-      const eval::CurveRecorder recorder = trainer.Train(
-          &model, dataset.train(), dataset.validation(), horizon);
-      weights[i].clear();  // Reps are deterministic; keep the last copy.
-      for (const ag::NodePtr& param : model.params().all()) {
-        weights[i].push_back(param->value());
-      }
-      curves[i] = recorder.points();
-    }));
-    std::printf("%-18s %d epochs = %.3fs\n", modes[i].name,
-                base_options.epochs, train_s.back());
-  }
 
-  bool weights_identical = true;
-  for (int i = 1; i < 3; ++i) {
-    weights_identical =
-        weights_identical && weights[i].size() == weights[0].size();
-    for (size_t p = 0; weights_identical && p < weights[0].size(); ++p) {
-      weights_identical =
-          weights[i][p].SameShape(weights[0][p]) &&
-          std::memcmp(weights[i][p].data(), weights[0][p].data(),
-                      weights[0][p].size() * sizeof(float)) == 0;
-    }
-  }
-  bool curves_equal = true;
-  for (int i = 1; i < 3; ++i) {
-    curves_equal = curves_equal && curves[i].size() == curves[0].size();
-    for (size_t p = 0; curves_equal && p < curves[0].size(); ++p) {
-      curves_equal = curves[i][p].epoch == curves[0][p].epoch &&
-                     curves[i][p].train_loss == curves[0][p].train_loss &&
-                     curves[i][p].validation_loss ==
-                         curves[0][p].validation_loss &&
-                     curves[i][p].validation_auc == curves[0][p].validation_auc;
-    }
-  }
+  const TrainedRun one_thread =
+      TrainBkDdn(model_config, base_options, dataset, 2);
+  core::TrainOptions nproc_options = base_options;
+  nproc_options.num_threads = nproc;
+  const TrainedRun all_threads =
+      TrainBkDdn(model_config, nproc_options, dataset, 2);
+  const bool weights_identical =
+      SameWeights(all_threads.weights, one_thread.weights);
+  const bool curves_equal = SameCurve(all_threads.curve, one_thread.curve);
+  std::printf("train %d epochs: 1 thread %.3fs, %d threads %.3fs\n",
+              base_options.epochs, one_thread.seconds, nproc,
+              all_threads.seconds);
 
   // Isolated eval pass on a trained model: the historical double pass (two
-  // tape-building graph sweeps — MeanLoss then score+AUC) against one fused
-  // gradient-free sweep.
+  // tape-building graph sweeps — the mean loss, then score+AUC) against one
+  // fused gradient-free sweep.
   models::BkDdn eval_model(model_config);
   core::Trainer(base_options)
       .Train(&eval_model, dataset.train(), dataset.validation(), horizon);
@@ -763,9 +776,11 @@ int RunPipelineBench(const std::string& out_path) {
               two_pass_s, fused_s, two_pass_s / fused_s,
               eval_identical ? "yes" : "NO");
 
-  // Build + train + per-epoch eval, before vs after this PR's three layers.
-  const double baseline_total = serial_build_s + train_s[0];
-  const double pipelined_total = parallel_build_s + train_s[2];
+  // Build + train + per-epoch eval with and without the pipeline's layers.
+  const double baseline_total =
+      pool1_build_s + one_thread.seconds +
+      base_options.epochs * (two_pass_s - fused_s);
+  const double pipelined_total = nproc_build_s + one_thread.seconds;
   const double end_to_end = baseline_total / pipelined_total;
   const bool all_identical =
       build_identical && weights_identical && curves_equal && eval_identical;
@@ -787,21 +802,15 @@ int RunPipelineBench(const std::string& out_path) {
       << ", \"num_filters\": " << model_config.num_filters
       << ", \"batch_size\": " << base_options.batch_size
       << ", \"epochs\": " << base_options.epochs
-      << ", \"num_threads\": " << base_options.num_threads << "},\n";
-  out << "  \"dataset_build_seconds\": {\"serial\": " << serial_build_s
-      << ", \"parallel\": " << parallel_build_s << "},\n";
-  out << "  \"dataset_build_speedup\": " << serial_build_s / parallel_build_s
+      << ", \"num_threads\": [1, " << nproc << "]},\n";
+  out << "  \"dataset_build_seconds\": {\"pool_1\": " << pool1_build_s
+      << ", \"pool_nproc\": " << nproc_build_s << "},\n";
+  out << "  \"dataset_build_speedup\": " << pool1_build_s / nproc_build_s
       << ",\n";
   out << "  \"dataset_bytes_identical\": "
       << (build_identical ? "true" : "false") << ",\n";
-  out << "  \"train_seconds\": {";
-  for (int i = 0; i < 3; ++i) {
-    out << "\"" << modes[i].name << "\": " << train_s[i]
-        << (i < 2 ? ", " : "");
-  }
-  out << "},\n";
-  out << "  \"prefetch_gain\": " << train_s[0] / train_s[1] << ",\n";
-  out << "  \"fused_eval_gain\": " << train_s[1] / train_s[2] << ",\n";
+  out << "  \"train_seconds\": {\"threads_1\": " << one_thread.seconds
+      << ", \"threads_nproc\": " << all_threads.seconds << "},\n";
   out << "  \"eval_pass_seconds\": {\"two_pass_graph\": " << two_pass_s
       << ", \"fused_nograd\": " << fused_s << "},\n";
   out << "  \"eval_pass_speedup\": " << two_pass_s / fused_s << ",\n";
@@ -993,12 +1002,10 @@ uint64_t JobsBenchMix(uint64_t z) {
 ///    single-core host. `graph_matches_barrier_output` asserts both
 ///    schedules produce identical bytes; `steady_state_jobs_per_sec` is the
 ///    graph path's sustained rate across reused generations.
-///  * `weights_bitwise_identical` / `curves_bitwise_equal` — a BK-DDN
-///    training run on the job-graph path (assembly overlap on) against the
-///    legacy fork/join path, compared weight-by-weight and point-by-point.
-///    The determinism contract as a recorded artifact, gated by
-///    scripts/check_bench.py; `train_overlap_gain` is informational (on a
-///    single-core host it hovers near 1.0).
+///  * `weights_bitwise_identical` / `curves_bitwise_equal` — BK-DDN
+///    training on the job graph at 1 and at 2 threads, compared
+///    weight-by-weight and point-by-point: the determinism contract as a
+///    recorded artifact, gated by scripts/check_bench.py.
 int RunJobsBench(const std::string& out_path) {
   // --- Overlap microbench: barrier vs graph at pool size 2 ----------------
   SetGlobalThreadPoolSize(2);
@@ -1073,7 +1080,7 @@ int RunJobsBench(const std::string& out_path) {
               barrier_s, graph_s, overlap_speedup, jobs_per_sec,
               outputs_identical ? "yes" : "NO");
 
-  // --- Training determinism: job-graph path vs legacy fork/join -----------
+  // --- Training determinism: job graph at 1 vs 2 threads -----------------
   auto kb = kb::KnowledgeBase::BuildDefault();
   kb::ConceptExtractor extractor(&kb);
   synth::CohortConfig cohort_config;
@@ -1096,53 +1103,18 @@ int RunJobsBench(const std::string& out_path) {
   core::TrainOptions base_options;
   base_options.epochs = 3;
   base_options.batch_size = 16;
-  base_options.num_threads = 2;
   base_options.seed = 7;
-  const synth::Horizon horizon = synth::Horizon::kInHospital;
-
-  struct JobsMode {
-    const char* name;
-    bool use_job_graph;
-  };
-  const JobsMode modes[] = {
-      {"legacy_fork_join", false},
-      {"job_graph", true},
-  };
-  std::vector<double> train_s;
-  std::vector<std::vector<Tensor>> weights(2);
-  std::vector<std::vector<eval::CurvePoint>> curves(2);
-  for (int i = 0; i < 2; ++i) {
+  constexpr int kTrainThreads[] = {1, 2};
+  std::vector<TrainedRun> runs;
+  for (const int threads : kTrainThreads) {
     core::TrainOptions options = base_options;
-    options.use_job_graph = modes[i].use_job_graph;
-    train_s.push_back(BestSeconds(2, [&] {
-      models::BkDdn model(model_config);
-      core::Trainer trainer(options);
-      const eval::CurveRecorder recorder = trainer.Train(
-          &model, dataset.train(), dataset.validation(), horizon);
-      weights[i].clear();  // Reps are deterministic; keep the last copy.
-      for (const ag::NodePtr& param : model.params().all()) {
-        weights[i].push_back(param->value());
-      }
-      curves[i] = recorder.points();
-    }));
-    std::printf("%-18s %d epochs = %.3fs\n", modes[i].name,
-                base_options.epochs, train_s.back());
+    options.num_threads = threads;
+    runs.push_back(TrainBkDdn(model_config, options, dataset, 2));
+    std::printf("job_graph threads=%d %d epochs = %.3fs\n", threads,
+                base_options.epochs, runs.back().seconds);
   }
-  bool weights_identical = weights[1].size() == weights[0].size();
-  for (size_t p = 0; weights_identical && p < weights[0].size(); ++p) {
-    weights_identical =
-        weights[1][p].SameShape(weights[0][p]) &&
-        std::memcmp(weights[1][p].data(), weights[0][p].data(),
-                    weights[0][p].size() * sizeof(float)) == 0;
-  }
-  bool curves_equal = curves[1].size() == curves[0].size();
-  for (size_t p = 0; curves_equal && p < curves[0].size(); ++p) {
-    curves_equal = curves[1][p].epoch == curves[0][p].epoch &&
-                   curves[1][p].train_loss == curves[0][p].train_loss &&
-                   curves[1][p].validation_loss ==
-                       curves[0][p].validation_loss &&
-                   curves[1][p].validation_auc == curves[0][p].validation_auc;
-  }
+  const bool weights_identical = SameWeights(runs[1].weights, runs[0].weights);
+  const bool curves_equal = SameCurve(runs[1].curve, runs[0].curve);
 
   const bool all_identical =
       outputs_identical && weights_identical && curves_equal;
@@ -1159,20 +1131,15 @@ int RunJobsBench(const std::string& out_path) {
       << cohort_config.num_patients
       << ", \"batch_size\": " << base_options.batch_size
       << ", \"epochs\": " << base_options.epochs
-      << ", \"train_num_threads\": " << base_options.num_threads << "},\n";
+      << ", \"train_num_threads\": [1, 2]},\n";
   out << "  \"overlap_seconds\": {\"barrier\": " << barrier_s
       << ", \"graph\": " << graph_s << "},\n";
   out << "  \"overlap_speedup\": " << overlap_speedup << ",\n";
   out << "  \"steady_state_jobs_per_sec\": " << jobs_per_sec << ",\n";
   out << "  \"graph_matches_barrier_output\": "
       << (outputs_identical ? "true" : "false") << ",\n";
-  out << "  \"train_seconds\": {";
-  for (int i = 0; i < 2; ++i) {
-    out << "\"" << modes[i].name << "\": " << train_s[i]
-        << (i < 1 ? ", " : "");
-  }
-  out << "},\n";
-  out << "  \"train_overlap_gain\": " << train_s[0] / train_s[1] << ",\n";
+  out << "  \"train_seconds\": {\"threads_1\": " << runs[0].seconds
+      << ", \"threads_2\": " << runs[1].seconds << "},\n";
   out << "  \"weights_bitwise_identical\": "
       << (weights_identical ? "true" : "false") << ",\n";
   out << "  \"curves_bitwise_equal\": " << (curves_equal ? "true" : "false")

@@ -35,13 +35,12 @@ struct PreparedBatch {
 
 /// Pure, synchronous mini-batch assembly for core::Trainer (DESIGN.md §14).
 ///
-/// This is the assembly half of the retired BatchPrefetcher, with the
-/// bespoke double-buffer worker thread deleted: overlap now comes from the
-/// job graph, where the trainer schedules "assemble batch k+1" as a root job
-/// next to batch k's gradient chunks and the executor pipelines them. The
-/// assembly arithmetic (slice, MixDropoutSeed, labels, chunk layout) is
-/// byte-for-byte the prefetcher's, so trained weights stay bitwise-identical
-/// across the migration.
+/// The trainer always runs it as the "assemble batch k+1" root job of its
+/// step graph, next to batch k's gradient chunks, so the executor overlaps
+/// featurisation with the merge and optimizer step. Because a batch is a
+/// pure function of (split, order, seed, index), that overlap cannot move a
+/// trained bit; the committed training goldens in tests/pipeline_test.cc
+/// pin the result.
 class BatchAssembler {
  public:
   struct Options {

@@ -32,37 +32,6 @@ bool HasBothClasses(const std::vector<int>& labels) {
   return positive && negative;
 }
 
-/// Mean inference-mode cross-entropy over a split. Per-example losses are
-/// computed in parallel but summed in example order, so the result does not
-/// depend on the thread count. Each worker block hoists its forward state:
-/// one ForwardContext and one ag::InferenceModeScope (value-only nodes, no
-/// tape) serve every example in the block.
-double MeanLoss(models::NeuralDocumentModel* model,
-                const std::vector<data::Example>& split,
-                synth::Horizon horizon, ThreadPool* pool) {
-  if (split.empty()) {
-    return 0.0;
-  }
-  std::vector<double> losses(split.size(), 0.0);
-  pool->ParallelForBlocked(
-      static_cast<int64_t>(split.size()), /*min_block=*/4,
-      [&](int64_t begin, int64_t end) {
-        ag::InferenceModeScope inference;
-        nn::ForwardContext ctx;
-        ctx.training = false;
-        for (int64_t i = begin; i < end; ++i) {
-          ag::NodePtr loss = ag::SoftmaxCrossEntropy(
-              model->Logits(split[i], ctx), split[i].Label(horizon) ? 1 : 0);
-          losses[i] = ag::ScalarValue(loss);
-        }
-      });
-  double total = 0.0;
-  for (double loss : losses) {
-    total += loss;
-  }
-  return total / static_cast<double>(split.size());
-}
-
 }  // namespace
 
 std::string CheckpointPath(const std::string& checkpoint_dir) {
@@ -218,8 +187,8 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
   const size_t num_batches = assembler.BatchesPerEpoch(order.size());
 
   // Double-buffered batch slots: step k's chunk jobs read slots[k % 2] while
-  // the assemble job writes slots[(k + 1) % 2] — the retired prefetcher's
-  // double buffer, now a disjointness property of the graph.
+  // the assemble job writes slots[(k + 1) % 2] — a disjointness property of
+  // the graph.
   PreparedBatch slots[2];
 
   // Per-step state shared with the graph jobs by reference. The main thread
@@ -229,9 +198,8 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
   int graph_epoch = 0;
   double epoch_loss = 0.0;
 
-  // The per-chunk forward/backward body, shared verbatim by the graph and
-  // legacy paths (chunk layout and GradSink usage are what make training
-  // thread-count-invariant; see the class comment).
+  // The per-chunk forward/backward body (chunk layout and GradSink usage are
+  // what make training thread-count-invariant; see the class comment).
   auto process_chunk = [&](const PreparedBatch& batch, size_t chunk) {
     ag::GradSink* sink = sinks[chunk].get();
     sink->Reset();
@@ -273,47 +241,43 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
   //        (none)          optimizer_step(k)
   jobs::JobGraph graph;
   jobs::JobExecutor executor(pool);
-  if (options_.use_job_graph) {
-    if (options_.prefetch) {
-      graph.AddJob("train.job.assemble", [&] {
-        const size_t next = step + 1;
-        if (next < num_batches) {
-          assembler.AssembleInto(&slots[next % 2], &order, graph_epoch, next);
-        }
-      });
+  graph.AddJob("train.job.assemble", [&] {
+    const size_t next = step + 1;
+    if (next < num_batches) {
+      assembler.AssembleInto(&slots[next % 2], &order, graph_epoch, next);
     }
-    std::vector<jobs::JobId> chunk_jobs;
-    chunk_jobs.reserve(max_chunks);
-    for (size_t c = 0; c < max_chunks; ++c) {
-      chunk_jobs.push_back(graph.AddJob("train.job.grad_chunk", [&, c] {
-        const PreparedBatch& batch = slots[step % 2];
-        if (c < batch.num_chunks) {
-          process_chunk(batch, c);
-        }
-      }));
-    }
-    const jobs::JobId merge = graph.AddJob("train.job.grad_merge", [&] {
-      // Ordered reduction: chunk 0 first, then chunk 1, ... — the summation
-      // order is fixed by the chunk layout, making the result independent of
-      // which lane ran which chunk.
-      KDDN_TRACE_SPAN("train.grad_merge");
+  });
+  std::vector<jobs::JobId> chunk_jobs;
+  chunk_jobs.reserve(max_chunks);
+  for (size_t c = 0; c < max_chunks; ++c) {
+    chunk_jobs.push_back(graph.AddJob("train.job.grad_chunk", [&, c] {
       const PreparedBatch& batch = slots[step % 2];
-      for (size_t chunk = 0; chunk < batch.num_chunks; ++chunk) {
-        sinks[chunk]->MergeInto();
-        epoch_loss += chunk_losses[chunk];
+      if (c < batch.num_chunks) {
+        process_chunk(batch, c);
       }
-    });
-    const jobs::JobId optimizer_step =
-        graph.AddJob("train.job.optimizer_step", [&] {
-          KDDN_TRACE_SPAN("train.optimizer_step");
-          optimizer.Step(model->params().all());
-        });
-    for (const jobs::JobId chunk_job : chunk_jobs) {
-      graph.AddEdge(chunk_job, merge);
-    }
-    graph.AddEdge(merge, optimizer_step);
-    graph.Finalize();
+    }));
   }
+  const jobs::JobId merge = graph.AddJob("train.job.grad_merge", [&] {
+    // Ordered reduction: chunk 0 first, then chunk 1, ... — the summation
+    // order is fixed by the chunk layout, making the result independent of
+    // which lane ran which chunk.
+    KDDN_TRACE_SPAN("train.grad_merge");
+    const PreparedBatch& batch = slots[step % 2];
+    for (size_t chunk = 0; chunk < batch.num_chunks; ++chunk) {
+      sinks[chunk]->MergeInto();
+      epoch_loss += chunk_losses[chunk];
+    }
+  });
+  const jobs::JobId optimizer_step =
+      graph.AddJob("train.job.optimizer_step", [&] {
+        KDDN_TRACE_SPAN("train.optimizer_step");
+        optimizer.Step(model->params().all());
+      });
+  for (const jobs::JobId chunk_job : chunk_jobs) {
+    graph.AddEdge(chunk_job, merge);
+  }
+  graph.AddEdge(merge, optimizer_step);
+  graph.Finalize();
 
   for (int epoch = start_epoch; epoch <= options_.epochs; ++epoch) {
     KDDN_TRACE_SPAN("train.epoch");
@@ -321,59 +285,22 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
     rng.Shuffle(&order);
     epoch_loss = 0.0;
     int seen = 0;
-    if (options_.use_job_graph) {
-      graph_epoch = epoch;
-      // Batch 0 is assembled inline; every later batch is assembled by the
-      // previous step's graph run (or inline just before its step when
-      // prefetch is off — same bits, no overlap).
-      assembler.AssembleInto(&slots[0], &order, epoch, 0);
-      for (step = 0; step < num_batches; ++step) {
-        if (!options_.prefetch && step + 1 < num_batches) {
-          assembler.AssembleInto(&slots[(step + 1) % 2], &order, epoch,
-                                 step + 1);
-        }
-        executor.Run(&graph);
-        seen += static_cast<int>(slots[step % 2].size);
-      }
-    } else {
-      // Legacy fork-join reference path: one ParallelFor per batch with a
-      // barrier before the ordered merge. Kept as the bitwise baseline the
-      // jobs tests and bench compare against.
-      for (size_t index = 0; index < num_batches; ++index) {
-        assembler.AssembleInto(&slots[0], &order, epoch, index);
-        const PreparedBatch& batch = slots[0];
-        pool->ParallelFor(static_cast<int64_t>(batch.num_chunks),
-                          [&](int64_t chunk) {
-                            process_chunk(batch, static_cast<size_t>(chunk));
-                          });
-        {
-          KDDN_TRACE_SPAN("train.grad_merge");
-          for (size_t chunk = 0; chunk < batch.num_chunks; ++chunk) {
-            sinks[chunk]->MergeInto();
-            epoch_loss += chunk_losses[chunk];
-          }
-        }
-        seen += static_cast<int>(batch.size);
-        {
-          KDDN_TRACE_SPAN("train.optimizer_step");
-          optimizer.Step(model->params().all());
-        }
-      }
+    graph_epoch = epoch;
+    // Batch 0 is assembled inline; every later batch is assembled by the
+    // previous step's graph run.
+    assembler.AssembleInto(&slots[0], &order, epoch, 0);
+    for (step = 0; step < num_batches; ++step) {
+      executor.Run(&graph);
+      seen += static_cast<int>(slots[step % 2].size);
     }
 
     KDDN_TRACE_SPAN("train.eval");
     eval::CurvePoint point;
     point.epoch = epoch;
     point.train_loss = seen > 0 ? epoch_loss / seen : 0.0;
-    if (options_.fused_eval) {
-      const EvalMetrics metrics =
-          EvaluateSplit(model, validation, horizon, pool);
-      point.validation_loss = metrics.mean_loss;
-      point.validation_auc = metrics.auc;
-    } else {
-      point.validation_loss = MeanLoss(model, validation, horizon, pool);
-      point.validation_auc = EvaluateAuc(model, validation, horizon, pool);
-    }
+    const EvalMetrics metrics = EvaluateSplit(model, validation, horizon, pool);
+    point.validation_loss = metrics.mean_loss;
+    point.validation_auc = metrics.auc;
     recorder.Add(point);
     if (point.validation_auc > best_auc) {
       best_auc = point.validation_auc;
@@ -466,8 +393,7 @@ Trainer::EvalMetrics Trainer::EvaluateSplit(
 Trainer::EvalMetrics Trainer::EvaluateSplit(
     models::NeuralDocumentModel* model, const std::vector<data::Example>& split,
     synth::Horizon horizon, ThreadPool* pool) {
-  EvalMetrics metrics;  // {0.0, 0.5}: what the two-pass route reports when
-                        // the split is empty.
+  EvalMetrics metrics;  // {0.0, 0.5} when the split is empty.
   if (split.empty()) {
     return metrics;
   }
@@ -513,8 +439,8 @@ Trainer::EvalMetrics Trainer::EvaluateSplit(
         });
   }
 
-  // Losses are summed in example order — the same floating-point order as
-  // the two-pass MeanLoss — so the mean is thread-count-independent.
+  // Losses are summed in example order, so the mean is
+  // thread-count-independent.
   double total = 0.0;
   for (double loss : losses) {
     total += loss;

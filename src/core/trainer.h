@@ -15,7 +15,8 @@ namespace kddn::core {
 /// Training hyperparameters shared by all deep models (paper §VI: Adagrad,
 /// categorical cross-entropy, dropout 0.5 handled inside the models). The
 /// batch size is scaled down with the corpus (paper used 200 on 35k
-/// patients).
+/// patients). None of these fields selects a schedule: there is one
+/// training path (see Trainer).
 struct TrainOptions {
   int epochs = 8;
   int batch_size = 32;
@@ -54,36 +55,6 @@ struct TrainOptions {
   /// this at 1 and 4 threads). Requires the same TrainOptions::seed and an
   /// epoch horizon >= the checkpoint's completed epochs.
   bool resume = false;
-  /// Schedule each training step as a reusable job graph (DESIGN.md §14):
-  /// the per-batch gradient chunks, the ordered gradient merge, the Adagrad
-  /// step, and the assembly of batch k+1 become nodes of one
-  /// jobs::JobGraph built once per Train call and re-run every step by a
-  /// work-stealing jobs::JobExecutor — batch k+1's featurisation overlaps
-  /// batch k's merge and optimizer step with no barrier between them.
-  /// Determinism is a property of the graph, not the schedule: chunk jobs
-  /// write disjoint GradSinks, the merge job sums them in chunk order, and
-  /// batch contents are a pure function of (split, order, seed, index), so
-  /// the trained weights are bitwise identical to the legacy fork-join path
-  /// at any thread count and under any steal interleaving (enforced by
-  /// `ctest -L jobs`). `false` keeps the legacy ParallelFor reference path.
-  bool use_job_graph = true;
-  /// Compatibility alias from the retired BatchPrefetcher era, now routed to
-  /// the graph path: `true` keeps "assemble batch k+1" a root job that
-  /// overlaps batch k's chunks/merge/step; `false` assembles each batch
-  /// inline before its step (no overlap — the reference schedule). On the
-  /// legacy path (use_job_graph = false) assembly is always inline. Trained
-  /// weights are bitwise identical in every combination.
-  bool prefetch = true;
-  /// Fuse the per-epoch validation pass (DESIGN.md §10): one gradient-free
-  /// forward per example yields both the validation loss and the AUC score,
-  /// replacing the historical MeanLoss + EvaluateAuc double pass. BK-DDN and
-  /// AK-DDN additionally run through a refreshed serve::FrozenModel snapshot
-  /// (no graph allocation at all); other models run their graph forward
-  /// under ag::InferenceModeScope. Both routes reduce the same logits
-  /// through ag::SoftmaxProbs, so the recorded curves are bitwise equal to
-  /// the two-pass path — `false` keeps the double pass for the equality
-  /// tests and benchmarks.
-  bool fused_eval = true;
 };
 
 /// The checkpoint file a Trainer reads and writes inside `checkpoint_dir`.
@@ -95,11 +66,20 @@ std::string CheckpointPath(const std::string& checkpoint_dir);
 ///
 /// Training is data-parallel within each mini-batch: the batch is cut into
 /// fixed-size chunks (TrainOptions::grad_chunk_size) that workers process
-/// into per-chunk ag::GradSink buffers, which the coordinating thread then
-/// merges in chunk order. Dropout noise is drawn from a per-example Rng
-/// derived from (seed, epoch, position), so neither the gradients nor the
-/// random stream depend on scheduling — the trained parameters are bitwise
-/// identical at any thread count.
+/// into per-chunk ag::GradSink buffers, merged in chunk order. Dropout noise
+/// is drawn from a per-example Rng derived from (seed, epoch, position), so
+/// neither the gradients nor the random stream depend on scheduling — the
+/// trained parameters are bitwise identical at any thread count.
+///
+/// Each step runs as one reusable job graph (DESIGN.md §14), built once per
+/// Train call and re-run by a work-stealing jobs::JobExecutor: the gradient
+/// chunks fan into one ordered merge job, the Adagrad step follows it, and
+/// the assembly of batch k+1 is a root job beside batch k's chunks, so
+/// featurisation overlaps the merge and optimizer step. Determinism is a
+/// property of the graph, not the schedule. After every epoch one fused
+/// gradient-free pass (EvaluateSplit) records the validation loss and AUC.
+/// tests/pipeline_test.cc pins the trained weights and curves to committed
+/// golden fingerprints at 1/2/4 threads and under the scalar GEMM kernel.
 ///
 /// With TrainOptions::checkpoint_dir set, training is also crash-safe:
 /// checkpoints are written atomically at epoch boundaries, and
@@ -149,10 +129,11 @@ class Trainer {
 
   /// Fused gradient-free evaluation (DESIGN.md §10): one forward per example
   /// produces the softmax probabilities once, yielding the cross-entropy
-  /// loss and the ranking score together. Bitwise-equal to the two-pass
-  /// MeanLoss + EvaluateAuc route at any thread count (enforced by
-  /// tests/pipeline_test.cc); see TrainOptions::fused_eval for the frozen
-  /// vs. inference-mode dispatch.
+  /// loss and the ranking score together, with the same bits at any thread
+  /// count. BK-DDN and AK-DDN run through a refreshed serve::FrozenModel
+  /// snapshot (no graph allocation at all); other models run their graph
+  /// forward under ag::InferenceModeScope. Both routes reduce the same
+  /// logits through ag::SoftmaxProbs, so `auc` equals EvaluateAuc's.
   static EvalMetrics EvaluateSplit(models::NeuralDocumentModel* model,
                                    const std::vector<data::Example>& split,
                                    synth::Horizon horizon);

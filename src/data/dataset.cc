@@ -79,8 +79,8 @@ MortalityDataset MortalityDataset::Build(const synth::Cohort& cohort,
   // Per-patient preprocessing is a pure function of the patient's text (the
   // lemmatizer, stopword list, and extractor are immutable once built), so it
   // fans out over the pool into disjoint slots; the ordered merge below then
-  // replays the serial loop's observable sequence exactly, which is what
-  // keeps the built dataset byte-identical at every thread count.
+  // replays the patients in order, which is what keeps the built dataset
+  // byte-identical at every thread count.
   const std::vector<synth::SyntheticPatient>& patients = cohort.patients();
   std::vector<Prepared> slots(patients.size());
   auto prepare_one = [&](int64_t i) {
@@ -96,8 +96,7 @@ MortalityDataset MortalityDataset::Build(const synth::Cohort& cohort,
     }
   };
   // Ordered merge, in original patient order: exclusions, the raw count
-  // vectors, and the retained list grow in exactly the serial sequence.
-  // Shared by both build paths — on the parallel path it is the graph's
+  // vectors, and the retained list grow in patient order. It is the graph's
   // fan-in node, so the reduction order is a property of the graph.
   std::vector<Prepared> prepared;
   auto merge_prepared = [&] {
@@ -112,36 +111,29 @@ MortalityDataset MortalityDataset::Build(const synth::Cohort& cohort,
       prepared.push_back(std::move(p));
     }
   };
-  if (options.parallel_build) {
-    // Per-patient fan-out with an ordered merge node (DESIGN.md §14): one
-    // prepare-range job per pool thread feeds the single dataset.merge job
-    // through explicit edges, so the merge starts the moment the last range
-    // lands — no pool-wide barrier between preparing and merging.
-    ThreadPool& pool = GlobalThreadPool();
-    const int64_t n = static_cast<int64_t>(patients.size());
-    const int64_t ranges = std::min<int64_t>(pool.num_threads(), n);
-    const int64_t range_len = (n + ranges - 1) / ranges;
-    jobs::JobGraph graph;
-    const jobs::JobId merge = graph.AddJob("dataset.merge", merge_prepared);
-    for (int64_t r = 0; r < ranges; ++r) {
-      const int64_t begin = r * range_len;
-      const int64_t end = std::min(n, begin + range_len);
-      const jobs::JobId prepare =
-          graph.AddJob("dataset.prepare_range", [&, begin, end] {
-            for (int64_t i = begin; i < end; ++i) {
-              prepare_one(i);
-            }
-          });
-      graph.AddEdge(prepare, merge);
-    }
-    graph.Finalize();
-    jobs::JobExecutor(&pool).Run(&graph);
-  } else {
-    for (int64_t i = 0; i < static_cast<int64_t>(patients.size()); ++i) {
-      prepare_one(i);
-    }
-    merge_prepared();
+  // Per-patient fan-out with an ordered merge node (DESIGN.md §14): one
+  // prepare-range job per pool thread feeds the single dataset.merge job
+  // through explicit edges, so the merge starts the moment the last range
+  // lands — no pool-wide barrier between preparing and merging.
+  ThreadPool& pool = GlobalThreadPool();
+  const int64_t n = static_cast<int64_t>(patients.size());
+  const int64_t ranges = std::min<int64_t>(pool.num_threads(), n);
+  const int64_t range_len = (n + ranges - 1) / ranges;
+  jobs::JobGraph graph;
+  const jobs::JobId merge = graph.AddJob("dataset.merge", merge_prepared);
+  for (int64_t r = 0; r < ranges; ++r) {
+    const int64_t begin = r * range_len;
+    const int64_t end = std::min(n, begin + range_len);
+    const jobs::JobId prepare =
+        graph.AddJob("dataset.prepare_range", [&, begin, end] {
+          for (int64_t i = begin; i < end; ++i) {
+            prepare_one(i);
+          }
+        });
+    graph.AddEdge(prepare, merge);
   }
+  graph.Finalize();
+  jobs::JobExecutor(&pool).Run(&graph);
   KDDN_CHECK(!prepared.empty()) << "every patient was excluded";
 
   // Random 7:3 split, then 10% of train as validation (paper §VII-C).

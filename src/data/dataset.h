@@ -34,14 +34,6 @@ struct DatasetOptions {
   /// Concept-extraction knobs (semantic-type filter, NegEx-lite negation
   /// handling); defaults reproduce the paper's MetaMap pipeline.
   kb::ExtractionOptions extraction;
-  /// Fan the per-patient preprocessing (tokenize → lemmatize → stopword
-  /// filter → concept extraction) out over the shared GlobalThreadPool.
-  /// Workers write disjoint per-patient slots and a single ordered merge
-  /// then replays the serial loop's exact observable sequence (exclusions,
-  /// count vectors, split membership), so the built dataset is byte-identical
-  /// to the serial build at every thread count — `false` is kept as the
-  /// reference implementation and for the equality tests. DESIGN.md §10.
-  bool parallel_build = true;
 };
 
 /// Mean and standard deviation (Table III/IV rows).
@@ -60,6 +52,15 @@ MomentStats ComputeMoments(const std::vector<int>& counts);
 ///              filtering, position-sorted CUI sequence (§VII-B2);
 /// then drop zero-concept patients, split 7:3 into train/test, and carve 10%
 /// of train into a validation set.
+///
+/// Build fans the per-patient preprocessing (tokenize → lemmatize →
+/// stopword filter → concept extraction) out over the shared
+/// GlobalThreadPool as one job graph: workers write disjoint per-patient
+/// slots and a single ordered merge job replays the patients in order
+/// (exclusions, count vectors, split membership), so the built dataset is
+/// byte-identical at every pool size. On a 1-thread pool the graph runs
+/// inline — the serial loop. tests/pipeline_test.cc pins the result to a
+/// committed golden fingerprint. DESIGN.md §10.
 class MortalityDataset {
  public:
   static MortalityDataset Build(const synth::Cohort& cohort,

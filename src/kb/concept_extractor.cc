@@ -186,15 +186,6 @@ std::vector<Mention> ConceptExtractor::Extract(
   return mentions;
 }
 
-uint64_t NoteFingerprint(std::string_view raw_text) {
-  uint64_t state = 1469598103934665603ULL;  // FNV-1a 64-bit offset basis.
-  for (unsigned char c : raw_text) {
-    state ^= c;
-    state *= 1099511628211ULL;
-  }
-  return state;
-}
-
 std::vector<std::string> ConceptExtractor::CuiSequence(
     const std::vector<Mention>& mentions) {
   std::vector<std::string> cuis;

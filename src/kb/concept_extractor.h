@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "kb/knowledge_base.h"
 #include "text/lemmatizer.h"
 
@@ -45,8 +46,11 @@ struct ExtractionOptions {
 
 /// Stable 64-bit FNV-1a fingerprint of a raw note. Serving keys its
 /// concept-extraction cache on this (extraction is a pure function of the
-/// raw text), so identical notes across requests hit the cache.
-uint64_t NoteFingerprint(std::string_view raw_text);
+/// raw text), so identical notes across requests hit the cache. Inline: it
+/// runs on every encode.
+inline uint64_t NoteFingerprint(std::string_view raw_text) {
+  return Fnv1a(raw_text.data(), raw_text.size());
+}
 
 /// Dictionary-based concept tagger standing in for MetaMap. Operates on the
 /// *raw* text (stop words are not removed first — the paper notes UMLS

@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/fault_injector.h"
+#include "common/fnv1a.h"
 
 namespace kddn::nn {
 namespace {
@@ -17,17 +18,6 @@ namespace {
 constexpr char kMagic[4] = {'K', 'D', 'D', 'N'};
 constexpr char kTrainerMarker[4] = {'T', 'R', 'S', 'T'};
 constexpr uint32_t kVersion = 2;
-
-/// FNV-1a 64-bit over a byte range, matching serve::FrozenModel's blob
-/// fingerprint constants.
-uint64_t Fnv1a(const char* data, size_t bytes) {
-  uint64_t state = 1469598103934665603ULL;
-  for (size_t i = 0; i < bytes; ++i) {
-    state ^= static_cast<unsigned char>(data[i]);
-    state *= 1099511628211ULL;
-  }
-  return state;
-}
 
 template <typename T>
 void WriteRaw(std::ostream& out, T value) {

@@ -7,6 +7,7 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
+#include "common/fnv1a.h"
 #include "common/trace.h"
 #include "tensor/tensor_ops.h"
 #include "text/vocabulary.h"
@@ -24,15 +25,6 @@ void EnsureShape(Tensor* t, std::vector<int> shape) {
   if (t->shape() != shape) {
     *t = Tensor::AdoptStorage(std::move(shape), std::move(*t).TakeStorage());
   }
-}
-
-uint64_t Fnv1a(const void* data, size_t bytes, uint64_t state) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    state ^= p[i];
-    state *= 1099511628211ULL;
-  }
-  return state;
 }
 
 /// Row-gather matching ag::EmbeddingLookup's forward arithmetic (a copy).
@@ -104,8 +96,7 @@ FrozenModel FrozenModel::Freeze(const models::NeuralDocumentModel& model) {
                         value.data() + value.size());
   }
   frozen.fingerprint_ =
-      Fnv1a(frozen.blob_.data(), frozen.blob_.size() * sizeof(float),
-            1469598103934665603ULL);
+      Fnv1a(frozen.blob_.data(), frozen.blob_.size() * sizeof(float));
 
   // Kernel-ready views, validated against the config-derived shapes.
   frozen.word_table_ = CopyParam(params, "word_emb.table");
@@ -253,8 +244,7 @@ float FrozenModel::ScorePositive(const data::Example& example) const {
 }
 
 bool FrozenModel::VerifyChecksum() const {
-  return Fnv1a(blob_.data(), blob_.size() * sizeof(float),
-               1469598103934665603ULL) == fingerprint_;
+  return Fnv1a(blob_.data(), blob_.size() * sizeof(float)) == fingerprint_;
 }
 
 void FrozenModel::CorruptBlobForTest(size_t index) {

@@ -1,7 +1,9 @@
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/check.h"
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "gtest/gtest.h"
@@ -195,6 +197,30 @@ TEST(StringUtilTest, StartsEndsWith) {
 TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(0.8725, 3), "0.873");
   EXPECT_EQ(FormatDouble(1.0, 1), "1.0");
+}
+
+// The repo's FNV-1a values, pinned. The offset basis is the published one
+// with its last digit dropped (see common/fnv1a.h); checkpoint checksums,
+// snapshot fingerprints, the note-cache key, and the committed training
+// goldens all depend on these exact outputs.
+TEST(Fnv1aTest, PinsRepoOffsetBasisValues) {
+  EXPECT_EQ(kFnv1aOffsetBasis, 1469598103934665603ULL);
+  EXPECT_EQ(Fnv1a("", 0), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(Fnv1a("", 0), kFnv1aOffsetBasis);
+  EXPECT_EQ(Fnv1a("a", 1), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(Fnv1a("foobar", 6), 0x88fad7c0a8ff07f2ULL);
+}
+
+// FrozenModel hashes its weight blob in one call; the golden tests hash the
+// same floats tensor by tensor, chaining the state. Both must agree.
+TEST(Fnv1aTest, ChainedStateMatchesOneShotBlobHash) {
+  EXPECT_EQ(Fnv1a("bar", 3, Fnv1a("foo", 3)), Fnv1a("foobar", 6));
+  const std::vector<float> blob = {0.5f, -1.25f, 3.0e-8f, -0.0f, 7.0f};
+  const uint64_t one_shot = Fnv1a(blob.data(), blob.size() * sizeof(float));
+  uint64_t chained = kFnv1aOffsetBasis;
+  chained = Fnv1a(blob.data(), 2 * sizeof(float), chained);
+  chained = Fnv1a(blob.data() + 2, 3 * sizeof(float), chained);
+  EXPECT_EQ(chained, one_shot);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // job durations, graph reuse across many generations, exception transport
 // (and reusability after a failed run), nested-run inlining, the
 // work-stealing ParallelForBlocked, and the generation tag on trace spans.
-// The training-side half of the label — executor-vs-legacy bitwise weight
+// The training-side half of the label — the committed weight and curve
 // goldens and the mid-run checkpoint/resume golden — lives in
 // pipeline_test.cc, which is also labelled `jobs`. The whole label is
 // `sanitize`-labelled and must stay TSan-clean.
