@@ -268,8 +268,8 @@ void JobExecutor::ParallelForBlocked(
   min_block = std::max<int64_t>(1, min_block);
   const int64_t max_blocks = (count + min_block - 1) / min_block;
   // Up to four blocks per thread: stealing rebalances uneven block costs, so
-  // finer slicing (unlike fork/join, see ThreadPool::ParallelForBlocked)
-  // buys load balance without a shared counter on the hot path.
+  // finer slicing buys load balance without a shared counter on the hot
+  // path.
   const int64_t blocks =
       std::min<int64_t>(static_cast<int64_t>(pool_->num_threads()) * 4,
                         max_blocks);

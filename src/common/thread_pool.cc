@@ -134,27 +134,6 @@ void ThreadPool::ParallelFor(int64_t count,
   }
 }
 
-void ThreadPool::ParallelForBlocked(
-    int64_t count, int64_t min_block,
-    const std::function<void(int64_t, int64_t)>& fn) {
-  if (count <= 0) {
-    return;
-  }
-  min_block = std::max<int64_t>(1, min_block);
-  // At most num_threads blocks (fork/join — finer slicing buys nothing
-  // without work stealing), each at least min_block long.
-  const int64_t max_blocks = (count + min_block - 1) / min_block;
-  const int64_t blocks = std::min<int64_t>(num_threads_, max_blocks);
-  const int64_t block_len = (count + blocks - 1) / blocks;
-  ParallelFor(blocks, [&](int64_t b) {
-    const int64_t begin = b * block_len;
-    const int64_t end = std::min(count, begin + block_len);
-    if (begin < end) {
-      fn(begin, end);
-    }
-  });
-}
-
 namespace {
 
 std::mutex g_global_pool_mutex;

@@ -11,16 +11,17 @@
 
 namespace kddn {
 
-/// Fixed-size fork/join thread pool (no work stealing: a single shared queue
-/// guarded by one mutex keeps scheduling simple and sanitizer-friendly).
+/// Fixed-size fork/join thread pool (a single shared queue guarded by one
+/// mutex keeps scheduling simple and sanitizer-friendly) whose threads run
+/// jobs::JobExecutor's scheduling lanes. Library code fans out through the
+/// executor (JobExecutor::Run for job graphs, JobExecutor::ParallelForBlocked
+/// for flat loops), never through ParallelFor directly.
 ///
 /// `ThreadPool(n)` provides n-way parallelism: the pool spawns n-1 worker
 /// threads and the thread calling ParallelFor always participates, so a pool
-/// of size 1 owns no threads and runs everything inline. Determinism is the
-/// design constraint throughout this codebase: ParallelFor makes no ordering
-/// promises, so callers must either write to disjoint outputs (row-blocked
-/// tensor kernels) or reduce partial results in a fixed order afterwards
-/// (core::Trainer's chunked gradient reduction).
+/// of size 1 owns no threads and runs everything inline. ParallelFor makes
+/// no ordering promises; determinism is the job of the executor's callers,
+/// which write disjoint outputs or reduce in a fixed order (DESIGN.md §5).
 class ThreadPool {
  public:
   /// Creates a pool giving `num_threads`-way parallelism (clamped to >= 1).
@@ -43,14 +44,6 @@ class ThreadPool {
   /// fork/join deadlock). The first exception thrown by fn is rethrown on the
   /// calling thread after remaining iterations are cancelled.
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& fn);
-
-  /// Block-ranged variant: partitions [0, count) into contiguous ranges of at
-  /// least `min_block` iterations and runs fn(begin, end) per range. Block
-  /// boundaries depend only on (count, min_block, num_threads()) — not on
-  /// scheduling — but see ParallelFor for the determinism contract.
-  void ParallelForBlocked(
-      int64_t count, int64_t min_block,
-      const std::function<void(int64_t, int64_t)>& fn);
 
   /// True while the calling thread is one of *any* pool's workers. Used to
   /// run nested parallel regions inline.

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "core/trainer.h"
 
 namespace kddn::core {
 namespace {
@@ -103,20 +104,28 @@ const data::Example* SelectCase(models::AkDdn* model,
                                 const std::vector<data::Example>& split,
                                 synth::Horizon horizon, bool positive) {
   KDDN_CHECK(model != nullptr);
+  // Only the requested class is scored, in parallel across examples;
+  // Trainer::Scores gives the same bits as PredictPositiveProbability.
+  std::vector<const data::Example*> cases;
+  std::vector<data::Example> examples;
+  for (const data::Example& example : split) {
+    if (example.Label(horizon) == positive) {
+      cases.push_back(&example);
+      examples.push_back(example);
+    }
+  }
+  const std::vector<float> scores = Trainer::Scores(model, examples);
   const data::Example* best = nullptr;
   float best_score = positive ? -1.0f : 2.0f;
-  for (const data::Example& example : split) {
-    if (example.Label(horizon) != positive) {
-      continue;
-    }
-    const float score = model->PredictPositiveProbability(example);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const float score = scores[i];
     const bool correct = positive ? score >= 0.5f : score < 0.5f;
     if (!correct) {
       continue;
     }
     if ((positive && score > best_score) || (!positive && score < best_score)) {
       best_score = score;
-      best = &example;
+      best = cases[i];
     }
   }
   return best;

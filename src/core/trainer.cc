@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -30,6 +31,84 @@ bool HasBothClasses(const std::vector<int>& labels) {
     negative = negative || label == 0;
   }
   return positive && negative;
+}
+
+/// The one graph-scoring loop: runs model->Logits over `split` under
+/// ag::InferenceModeScope (value-only nodes, no tape) in executor blocks and
+/// hands fn(i, softmax probabilities) for every example. The forward state
+/// is hoisted per block — one ForwardContext and one inference scope serve
+/// every example in it — which computes bitwise what
+/// PredictPositiveProbability computes per example. Every call of fn gets a
+/// distinct i, so writes to per-index slots are identical at any thread
+/// count.
+void ForEachGraphProbs(
+    models::NeuralDocumentModel* model,
+    const std::vector<data::Example>& split, ThreadPool* pool,
+    const std::function<void(int64_t, const std::vector<float>&)>& fn) {
+  jobs::JobExecutor(pool).ParallelForBlocked(
+      static_cast<int64_t>(split.size()), /*min_block=*/4,
+      [&](int64_t begin, int64_t end) {
+        ag::InferenceModeScope inference;
+        nn::ForwardContext ctx;
+        ctx.training = false;
+        for (int64_t i = begin; i < end; ++i) {
+          fn(i, ag::SoftmaxProbs(model->Logits(split[i], ctx)->value()));
+        }
+      });
+}
+
+/// Trainer::EvaluateSplit on an explicit pool: Train evaluates on its own
+/// (possibly private) pool after every epoch.
+Trainer::EvalMetrics EvaluateSplitOn(models::NeuralDocumentModel* model,
+                                     const std::vector<data::Example>& split,
+                                     synth::Horizon horizon, ThreadPool* pool) {
+  Trainer::EvalMetrics metrics;  // {0.0, 0.5} when the split is empty.
+  if (split.empty()) {
+    return metrics;
+  }
+  const std::vector<int> labels = Trainer::Labels(split, horizon);
+  std::vector<float> scores(split.size());
+  std::vector<double> losses(split.size(), 0.0);
+
+  const std::string name = model->name();
+  if (name == "BK-DDN" || name == "AK-DDN") {
+    // Servable models evaluate through a refreshed frozen snapshot: no graph
+    // nodes at all, per-block Workspace scratch reused across examples. The
+    // snapshot's bitwise contract (serve/frozen_model.h) makes every loss
+    // and score bit-equal to the graph path's.
+    const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*model);
+    jobs::JobExecutor(pool).ParallelForBlocked(
+        static_cast<int64_t>(split.size()), /*min_block=*/4,
+        [&](int64_t begin, int64_t end) {
+          serve::FrozenModel::Workspace ws;
+          for (int64_t i = begin; i < end; ++i) {
+            const serve::FrozenModel::EvalResult result =
+                frozen.EvalExample(split[i], labels[i], &ws);
+            losses[i] = result.loss;
+            scores[i] = result.score;
+          }
+        });
+  } else {
+    // Generic route: the graph-scoring loop, with both metrics reduced from
+    // one set of probabilities per example using the exact arithmetic of
+    // ag::SoftmaxCrossEntropy's forward value and PredictPositiveProbability.
+    ForEachGraphProbs(model, split, pool,
+                      [&](int64_t i, const std::vector<float>& probs) {
+                        losses[i] =
+                            -std::log(std::max(probs[labels[i]], 1e-12f));
+                        scores[i] = probs[1];
+                      });
+  }
+
+  // Losses are summed in example order, so the mean is
+  // thread-count-independent.
+  double total = 0.0;
+  for (double loss : losses) {
+    total += loss;
+  }
+  metrics.mean_loss = total / static_cast<double>(split.size());
+  metrics.auc = HasBothClasses(labels) ? eval::RocAuc(scores, labels) : 0.5;
+  return metrics;
 }
 
 }  // namespace
@@ -298,7 +377,8 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
     eval::CurvePoint point;
     point.epoch = epoch;
     point.train_loss = seen > 0 ? epoch_loss / seen : 0.0;
-    const EvalMetrics metrics = EvaluateSplit(model, validation, horizon, pool);
+    const EvalMetrics metrics =
+        EvaluateSplitOn(model, validation, horizon, pool);
     point.validation_loss = metrics.mean_loss;
     point.validation_auc = metrics.auc;
     recorder.Add(point);
@@ -328,30 +408,11 @@ eval::CurveRecorder Trainer::Train(models::NeuralDocumentModel* model,
 
 std::vector<float> Trainer::Scores(models::NeuralDocumentModel* model,
                                    const std::vector<data::Example>& split) {
-  return Scores(model, split, &GlobalThreadPool());
-}
-
-std::vector<float> Trainer::Scores(models::NeuralDocumentModel* model,
-                                   const std::vector<data::Example>& split,
-                                   ThreadPool* pool) {
-  // Inference is embarrassingly parallel: every worker writes a disjoint
-  // index, so the score vector is identical for any thread count. The
-  // forward state is hoisted per block — one ForwardContext and one
-  // ag::InferenceModeScope (value-only nodes, no tape) serve every example
-  // in the block — which computes bitwise what PredictPositiveProbability
-  // computes per example.
   std::vector<float> scores(split.size());
-  pool->ParallelForBlocked(
-      static_cast<int64_t>(split.size()), /*min_block=*/4,
-      [&](int64_t begin, int64_t end) {
-        ag::InferenceModeScope inference;
-        nn::ForwardContext ctx;
-        ctx.training = false;
-        for (int64_t i = begin; i < end; ++i) {
-          scores[i] =
-              ag::SoftmaxProbs(model->Logits(split[i], ctx)->value())[1];
-        }
-      });
+  ForEachGraphProbs(model, split, &GlobalThreadPool(),
+                    [&](int64_t i, const std::vector<float>& probs) {
+                      scores[i] = probs[1];
+                    });
   return scores;
 }
 
@@ -368,12 +429,6 @@ std::vector<int> Trainer::Labels(const std::vector<data::Example>& split,
 double Trainer::EvaluateAuc(models::NeuralDocumentModel* model,
                             const std::vector<data::Example>& split,
                             synth::Horizon horizon) {
-  return EvaluateAuc(model, split, horizon, &GlobalThreadPool());
-}
-
-double Trainer::EvaluateAuc(models::NeuralDocumentModel* model,
-                            const std::vector<data::Example>& split,
-                            synth::Horizon horizon, ThreadPool* pool) {
   if (split.empty()) {
     return 0.5;
   }
@@ -381,73 +436,13 @@ double Trainer::EvaluateAuc(models::NeuralDocumentModel* model,
   if (!HasBothClasses(labels)) {
     return 0.5;
   }
-  return eval::RocAuc(Scores(model, split, pool), labels);
+  return eval::RocAuc(Scores(model, split), labels);
 }
 
 Trainer::EvalMetrics Trainer::EvaluateSplit(
     models::NeuralDocumentModel* model, const std::vector<data::Example>& split,
     synth::Horizon horizon) {
-  return EvaluateSplit(model, split, horizon, &GlobalThreadPool());
-}
-
-Trainer::EvalMetrics Trainer::EvaluateSplit(
-    models::NeuralDocumentModel* model, const std::vector<data::Example>& split,
-    synth::Horizon horizon, ThreadPool* pool) {
-  EvalMetrics metrics;  // {0.0, 0.5} when the split is empty.
-  if (split.empty()) {
-    return metrics;
-  }
-  const std::vector<int> labels = Labels(split, horizon);
-  std::vector<float> scores(split.size());
-  std::vector<double> losses(split.size(), 0.0);
-
-  const std::string name = model->name();
-  if (name == "BK-DDN" || name == "AK-DDN") {
-    // Servable models evaluate through a refreshed frozen snapshot: no graph
-    // nodes at all, per-block Workspace scratch reused across examples. The
-    // snapshot's bitwise contract (serve/frozen_model.h) makes every loss
-    // and score bit-equal to the graph path's.
-    const serve::FrozenModel frozen = serve::FrozenModel::Freeze(*model);
-    pool->ParallelForBlocked(
-        static_cast<int64_t>(split.size()), /*min_block=*/4,
-        [&](int64_t begin, int64_t end) {
-          serve::FrozenModel::Workspace ws;
-          for (int64_t i = begin; i < end; ++i) {
-            const serve::FrozenModel::EvalResult result =
-                frozen.EvalExample(split[i], labels[i], &ws);
-            losses[i] = result.loss;
-            scores[i] = result.score;
-          }
-        });
-  } else {
-    // Generic route: graph forward under inference mode (values only, no
-    // tape), softmax probabilities computed once per example and reduced to
-    // both metrics with the exact arithmetic of ag::SoftmaxCrossEntropy's
-    // forward value and PredictPositiveProbability.
-    pool->ParallelForBlocked(
-        static_cast<int64_t>(split.size()), /*min_block=*/4,
-        [&](int64_t begin, int64_t end) {
-          ag::InferenceModeScope inference;
-          nn::ForwardContext ctx;
-          ctx.training = false;
-          for (int64_t i = begin; i < end; ++i) {
-            const std::vector<float> probs =
-                ag::SoftmaxProbs(model->Logits(split[i], ctx)->value());
-            losses[i] = -std::log(std::max(probs[labels[i]], 1e-12f));
-            scores[i] = probs[1];
-          }
-        });
-  }
-
-  // Losses are summed in example order, so the mean is
-  // thread-count-independent.
-  double total = 0.0;
-  for (double loss : losses) {
-    total += loss;
-  }
-  metrics.mean_loss = total / static_cast<double>(split.size());
-  metrics.auc = HasBothClasses(labels) ? eval::RocAuc(scores, labels) : 0.5;
-  return metrics;
+  return EvaluateSplitOn(model, split, horizon, &GlobalThreadPool());
 }
 
 }  // namespace kddn::core

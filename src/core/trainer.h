@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
 #include "models/neural_model.h"
@@ -97,15 +96,11 @@ class Trainer {
                             synth::Horizon horizon);
 
   /// Positive-class probabilities over a split (inference mode). Examples
-  /// are scored in parallel on the global pool into disjoint slots, so the
-  /// result is identical at any thread count.
+  /// are scored in parallel through jobs::JobExecutor on the global pool
+  /// into disjoint slots, so the result is identical at any thread count and
+  /// bitwise equal to NeuralDocumentModel::PredictPositiveProbability.
   static std::vector<float> Scores(models::NeuralDocumentModel* model,
                                    const std::vector<data::Example>& split);
-
-  /// Scores on an explicit pool (used internally during training).
-  static std::vector<float> Scores(models::NeuralDocumentModel* model,
-                                   const std::vector<data::Example>& split,
-                                   ThreadPool* pool);
 
   /// 0/1 labels of a split for a horizon.
   static std::vector<int> Labels(const std::vector<data::Example>& split,
@@ -116,11 +111,6 @@ class Trainer {
                             const std::vector<data::Example>& split,
                             synth::Horizon horizon);
 
-  /// EvaluateAuc on an explicit pool (used internally during training).
-  static double EvaluateAuc(models::NeuralDocumentModel* model,
-                            const std::vector<data::Example>& split,
-                            synth::Horizon horizon, ThreadPool* pool);
-
   /// Both split-level validation metrics from one fused pass.
   struct EvalMetrics {
     double mean_loss = 0.0;  // Mean cross-entropy (0.0 on an empty split).
@@ -130,18 +120,14 @@ class Trainer {
   /// Fused gradient-free evaluation (DESIGN.md §10): one forward per example
   /// produces the softmax probabilities once, yielding the cross-entropy
   /// loss and the ranking score together, with the same bits at any thread
-  /// count. BK-DDN and AK-DDN run through a refreshed serve::FrozenModel
+  /// count, on the global pool (Train runs the same pass on its own pool).
+  /// BK-DDN and AK-DDN run through a refreshed serve::FrozenModel
   /// snapshot (no graph allocation at all); other models run their graph
   /// forward under ag::InferenceModeScope. Both routes reduce the same
   /// logits through ag::SoftmaxProbs, so `auc` equals EvaluateAuc's.
   static EvalMetrics EvaluateSplit(models::NeuralDocumentModel* model,
                                    const std::vector<data::Example>& split,
                                    synth::Horizon horizon);
-
-  /// EvaluateSplit on an explicit pool (used internally during training).
-  static EvalMetrics EvaluateSplit(models::NeuralDocumentModel* model,
-                                   const std::vector<data::Example>& split,
-                                   synth::Horizon horizon, ThreadPool* pool);
 
  private:
   TrainOptions options_;

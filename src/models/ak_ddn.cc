@@ -2,7 +2,6 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace kddn::models {
 
@@ -31,29 +30,9 @@ AkDdn::Branches AkDdn::Forward(const data::Example& example) {
   ag::NodePtr words = word_embedding_.Forward(example.word_ids);
   ag::NodePtr concepts = concept_embedding_.Forward(example.concept_ids);
 
-  // Co-attention (paper Fig. 4): each side queries the other. The two
-  // interaction matmuls (Ic and Iw) only read the shared embedding nodes and
-  // build disjoint subgraphs, so for long documents they evaluate as two
-  // parallel tasks; each side's internal summation order is untouched, so
-  // the logits match the serial path bitwise.
-  nn::AttiResult word_queries;     // Ic [m_w, d]
-  nn::AttiResult concept_queries;  // Iw [m_c, d]
-  const int64_t interaction_work =
-      int64_t{2} * words->value().dim(0) * concepts->value().dim(0) *
-      words->value().dim(1);
-  if (interaction_work >= (int64_t{1} << 17) &&
-      GlobalThreadPool().num_threads() > 1) {
-    GlobalThreadPool().ParallelFor(2, [&](int64_t side) {
-      if (side == 0) {
-        word_queries = nn::Atti(words, concepts);
-      } else {
-        concept_queries = nn::Atti(concepts, words);
-      }
-    });
-  } else {
-    word_queries = nn::Atti(words, concepts);
-    concept_queries = nn::Atti(concepts, words);
-  }
+  // Co-attention (paper Fig. 4): each side queries the other.
+  const nn::AttiResult word_queries = nn::Atti(words, concepts);     // Ic [m_w, d]
+  const nn::AttiResult concept_queries = nn::Atti(concepts, words);  // Iw [m_c, d]
 
   ag::NodePtr word_input = word_queries.output;
   ag::NodePtr concept_input = concept_queries.output;

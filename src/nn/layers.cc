@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace kddn::nn {
 
@@ -73,31 +72,13 @@ ag::NodePtr Conv1dBank::Forward(const ag::NodePtr& x) const {
       << "Conv1dBank input dim mismatch";
   const int max_width = *std::max_element(widths_.begin(), widths_.end());
   ag::NodePtr padded = ag::PadRows(x, max_width);
-  std::vector<ag::NodePtr> pooled(widths_.size());
-  auto branch = [&](size_t i) {
+  std::vector<ag::NodePtr> pooled;
+  pooled.reserve(widths_.size());
+  for (size_t i = 0; i < widths_.size(); ++i) {
     ag::NodePtr windows = ag::Unfold(padded, widths_[i]);
     ag::NodePtr feature_map =
         ag::AddRowBroadcast(ag::MatMulABt(windows, weights_[i]), biases_[i]);
-    pooled[i] = ag::MaxOverTime(ag::Relu(feature_map));
-  };
-  // The per-width branches only read shared nodes (padded, the weights) and
-  // write disjoint slots of `pooled`, so for long documents they evaluate in
-  // parallel; concat order keeps the output layout (and the gradients)
-  // identical to the serial path.
-  int64_t total_width = 0;
-  for (int width : widths_) {
-    total_width += width;
-  }
-  const int64_t work = static_cast<int64_t>(padded->value().dim(0)) *
-                       input_dim_ * num_filters_ * total_width;
-  if (work >= (int64_t{1} << 17) && GlobalThreadPool().num_threads() > 1) {
-    GlobalThreadPool().ParallelFor(
-        static_cast<int64_t>(widths_.size()),
-        [&](int64_t i) { branch(static_cast<size_t>(i)); });
-  } else {
-    for (size_t i = 0; i < widths_.size(); ++i) {
-      branch(i);
-    }
+    pooled.push_back(ag::MaxOverTime(ag::Relu(feature_map)));
   }
   return ag::Concat(pooled, /*axis=*/0);
 }

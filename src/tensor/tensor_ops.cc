@@ -28,8 +28,9 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
 
 std::atomic<GemmKernel> g_gemm_kernel{GemmKernel::kAuto};
 
-/// Minimum multiply-accumulate count before a matmul fans out across the
-/// global pool; below this the fork/join overhead outweighs the work.
+/// Minimum multiply-accumulate count before a matmul fans its row blocks out
+/// through jobs::JobExecutor on the global pool; below this the cost of
+/// seeding lane deques and waking pool workers outweighs the work.
 constexpr int64_t kParallelMatMulFlops = int64_t{1} << 17;
 
 /// True if a matmul with this many MACs should use the row-blocked parallel

@@ -1,20 +1,26 @@
 // Tests for the concurrency substrate: ThreadPool semantics (zero tasks,
-// reentrancy, exception transport), bitwise serial/parallel equality of the
+// reentrancy, exception transport), the executor's blocked loop that library
+// fan-outs use, bitwise serial/parallel equality of the
 // row-blocked tensor kernels, and — the load-bearing guarantee — that
 // training is bitwise reproducible at any thread count thanks to the
 // chunk-ordered gradient reduction in core::Trainer.
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/job_executor.h"
 #include "common/rng.h"
 #include "core/trainer.h"
 #include "gtest/gtest.h"
 #include "kb/concept_extractor.h"
 #include "kb/knowledge_base.h"
+#include "models/ak_ddn.h"
 #include "models/bk_ddn.h"
 #include "synth/cohort.h"
 #include "tensor/tensor_ops.h"
@@ -24,10 +30,12 @@ namespace {
 
 TEST(ThreadPoolTest, ZeroAndNegativeCountsReturnImmediately) {
   ThreadPool pool(4);
+  jobs::JobExecutor executor(&pool);
   int calls = 0;
   pool.ParallelFor(0, [&](int64_t) { ++calls; });
   pool.ParallelFor(-3, [&](int64_t) { ++calls; });
-  pool.ParallelForBlocked(0, 8, [&](int64_t, int64_t) { ++calls; });
+  executor.ParallelForBlocked(0, 7, [&](int64_t, int64_t) { ++calls; });
+  executor.ParallelForBlocked(-3, 7, [&](int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -54,18 +62,36 @@ TEST(ThreadPoolTest, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, BlockedVariantCoversRangeWithoutOverlap) {
+  // The blocked loop library code uses is the executor's: every index runs
+  // exactly once, inside contiguous blocks that tile [0, count) and are at
+  // least min_block long (only the final block may be shorter).
   ThreadPool pool(3);
   constexpr int kCount = 1001;
+  constexpr int64_t kMinBlock = 7;
   std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelForBlocked(kCount, /*min_block=*/7,
-                          [&](int64_t begin, int64_t end) {
-                            ASSERT_LT(begin, end);
-                            for (int64_t i = begin; i < end; ++i) {
-                              hits[i].fetch_add(1, std::memory_order_relaxed);
-                            }
-                          });
+  std::mutex blocks_mu;
+  std::vector<std::pair<int64_t, int64_t>> blocks;
+  jobs::JobExecutor(&pool).ParallelForBlocked(
+      kCount, kMinBlock, [&](int64_t begin, int64_t end) {
+        ASSERT_LT(begin, end);
+        for (int64_t i = begin; i < end; ++i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+        std::lock_guard<std::mutex> lock(blocks_mu);
+        blocks.emplace_back(begin, end);
+      });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
+  }
+  std::sort(blocks.begin(), blocks.end());
+  ASSERT_FALSE(blocks.empty());
+  EXPECT_EQ(blocks.front().first, 0);
+  EXPECT_EQ(blocks.back().second, kCount);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    if (b + 1 < blocks.size()) {
+      EXPECT_EQ(blocks[b].second, blocks[b + 1].first) << b;
+      EXPECT_GE(blocks[b].second - blocks[b].first, kMinBlock) << b;
+    }
   }
 }
 
@@ -205,17 +231,31 @@ TEST_F(TrainingDeterminismTest, BitwiseIdenticalParamsAtAnyThreadCount) {
 }
 
 TEST_F(TrainingDeterminismTest, ScoresIdenticalAcrossGlobalPoolSizes) {
-  models::BkDdn model(SmallModelConfig());
-  SetGlobalThreadPoolSize(1);
-  const std::vector<float> serial =
-      core::Trainer::Scores(&model, dataset_.test());
-  for (int threads : {2, 4}) {
-    SetGlobalThreadPoolSize(threads);
-    const std::vector<float> parallel =
-        core::Trainer::Scores(&model, dataset_.test());
-    ASSERT_EQ(parallel.size(), serial.size());
+  // BK-DDN and AK-DDN (whose co-attention sides and per-width conv branches
+  // run as one serial sequence inside each scoring block): the same scores
+  // at every pool size, bitwise equal to per-example prediction.
+  models::BkDdn bk_ddn(SmallModelConfig());
+  models::AkDdn ak_ddn(SmallModelConfig());
+  for (models::NeuralDocumentModel* model :
+       std::vector<models::NeuralDocumentModel*>{&bk_ddn, &ak_ddn}) {
+    SetGlobalThreadPoolSize(1);
+    const std::vector<float> serial =
+        core::Trainer::Scores(model, dataset_.test());
+    ASSERT_EQ(serial.size(), dataset_.test().size()) << model->name();
     for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i], serial[i]) << "score " << i << " at " << threads;
+      EXPECT_EQ(serial[i],
+                model->PredictPositiveProbability(dataset_.test()[i]))
+          << model->name() << " score " << i;
+    }
+    for (int threads : {2, 4}) {
+      SetGlobalThreadPoolSize(threads);
+      const std::vector<float> parallel =
+          core::Trainer::Scores(model, dataset_.test());
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(parallel[i], serial[i])
+            << model->name() << " score " << i << " at " << threads;
+      }
     }
   }
   SetGlobalThreadPoolSize(0);
