@@ -11,6 +11,7 @@
 #include "core/experiment.h"
 #include "core/trainer.h"
 #include "models/ak_ddn.h"
+#include "serve/frozen_model.h"
 #include "viz/tsne.h"
 
 namespace {
@@ -90,25 +91,24 @@ int main() {
     // patients (t-SNE here is exact O(n^2)).
     const int count =
         std::min<int>(300, static_cast<int>(setup.dataset.test().size()));
+    // Pooled features from the frozen forward: ws.fused is the word-branch
+    // half, then the concept-branch half.
+    const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
+    serve::FrozenModel::Workspace ws;
+    const int branch_dim =
+        config.num_filters * static_cast<int>(config.filter_widths.size());
     std::vector<int> labels;
-    Tensor word_reps, concept_reps, joint_reps;
+    Tensor word_reps({count, branch_dim});
+    Tensor concept_reps({count, branch_dim});
+    Tensor joint_reps({count, 2 * branch_dim});
     for (int i = 0; i < count; ++i) {
       const data::Example& example = setup.dataset.test()[i];
-      models::AkDdn::Representations reps = model.Represent(example);
-      if (i == 0) {
-        word_reps = Tensor({count, reps.word.dim(0)});
-        concept_reps = Tensor({count, reps.concept_vec.dim(0)});
-        joint_reps = Tensor({count, reps.joint.dim(0)});
-      }
-      for (int k = 0; k < reps.word.dim(0); ++k) {
-        word_reps.at(i, k) = reps.word.at(k);
-      }
-      for (int k = 0; k < reps.concept_vec.dim(0); ++k) {
-        concept_reps.at(i, k) = reps.concept_vec.at(k);
-      }
-      for (int k = 0; k < reps.joint.dim(0); ++k) {
-        joint_reps.at(i, k) = reps.joint.at(k);
-      }
+      frozen.Logits(example, &ws);
+      const float* fused = ws.fused.data();
+      std::copy(fused, fused + branch_dim, &word_reps.at(i, 0));
+      std::copy(fused + branch_dim, fused + 2 * branch_dim,
+                &concept_reps.at(i, 0));
+      std::copy(fused, fused + 2 * branch_dim, &joint_reps.at(i, 0));
       labels.push_back(example.Label(horizons[h]) ? 1 : 0);
     }
 

@@ -4,9 +4,9 @@
 // regressions in the substrate.
 //
 // Run with --parallel_json[=path] to instead emit BENCH_parallel.json:
-// wall-clock of the parallel primitives (MatMul, CNN block) and of one
-// BK-DDN training epoch on a NURSING-scale synthetic corpus at 1/2/4
-// threads — the perf trajectory that future scaling PRs diff against.
+// wall-clock of one BK-DDN training epoch on a NURSING-scale synthetic
+// corpus at 1/2/4 threads (median, min and max of repeated epochs) — the
+// perf trajectory that future scaling PRs diff against.
 //
 // Run with --serve_json[=path] to emit BENCH_serve.json: serving-path
 // wall-clock on a trained BK-DDN — one-at-a-time autograd forward vs the
@@ -186,6 +186,24 @@ double BestSeconds(int reps, const Fn& fn) {
   return best;
 }
 
+/// Median, min and max of repeated wall-clock samples.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  Spread spread;
+  spread.min = samples.front();
+  spread.max = samples.back();
+  spread.median = n % 2 == 1 ? samples[n / 2]
+                             : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+  return spread;
+}
+
 /// True on degenerate hosts where thread-scaling numbers are meaningless:
 /// recorded into every bench artifact so readers (and scripts/check_bench.py)
 /// can tell a regression from a hardware limitation.
@@ -210,22 +228,15 @@ void WriteJsonSection(std::ofstream& out, const char* name,
   out << "}" << (last ? "\n" : ",\n");
 }
 
-/// Emits BENCH_parallel.json: MatMul / CNN-block / training-epoch wall-clock
-/// at 1, 2, and 4 threads. All numbers are from the same deterministic
-/// kernels, so the outputs (not just the checksums) agree across rows — the
-/// columns differ only in wall-clock.
+/// Emits BENCH_parallel.json: BK-DDN training-epoch wall-clock at 1, 2 and
+/// 4 threads — per thread count the median, min and max of kRepeats
+/// epochs, with the thread counts interleaved round-robin so host drift
+/// spreads evenly across them. Every epoch runs the same deterministic
+/// kernels, so the trained bits agree across columns; only wall-clock
+/// differs.
 int RunParallelBench(const std::string& out_path) {
+  constexpr int kRepeats = 7;
   const std::vector<int> thread_counts = {1, 2, 4};
-  std::vector<double> matmul_s, conv_s, epoch_s;
-
-  Rng rng(1);
-  const Tensor a = RandomNormal({256, 256}, 0, 1, &rng);
-  const Tensor b = RandomNormal({256, 256}, 0, 1, &rng);
-
-  nn::ParameterSet conv_params;
-  nn::Conv1dBank conv(&conv_params, "conv", 20, 50, {1, 2, 3}, &rng);
-  const ag::NodePtr conv_x =
-      ag::Node::Leaf(RandomNormal({512, 20}, 0, 1, &rng), false, "x");
 
   // NURSING-scale synthetic corpus: paper-sized documents and embedding
   // widths, patient count trimmed so the whole sweep stays interactive.
@@ -241,32 +252,39 @@ int RunParallelBench(const std::string& out_path) {
   const data::MortalityDataset dataset =
       data::MortalityDataset::Build(cohort, extractor, data_options);
 
-  for (int threads : thread_counts) {
-    SetGlobalThreadPoolSize(threads);
-    matmul_s.push_back(
-        BestSeconds(5, [&] { benchmark::DoNotOptimize(MatMul(a, b)); }));
-    conv_s.push_back(
-        BestSeconds(5, [&] { benchmark::DoNotOptimize(conv.Forward(conv_x)); }));
-    epoch_s.push_back(BestSeconds(1, [&] {
-      models::ModelConfig model_config;
-      model_config.word_vocab_size = dataset.word_vocab().size();
-      model_config.concept_vocab_size = dataset.concept_vocab().size();
-      model_config.embedding_dim = 20;  // Paper's NURSING width.
-      model_config.num_filters = 50;    // Paper's filter count.
-      model_config.seed = 5;
-      models::BkDdn model(model_config);
-      core::TrainOptions train_options;
-      train_options.epochs = 1;
-      train_options.batch_size = 32;
-      train_options.num_threads = threads;
-      core::Trainer trainer(train_options);
-      trainer.Train(&model, dataset.train(), dataset.validation(),
-                    synth::Horizon::kInHospital);
-    }));
-    std::printf("threads=%d matmul=%.4fs conv=%.4fs epoch=%.3fs\n", threads,
-                matmul_s.back(), conv_s.back(), epoch_s.back());
+  std::vector<std::vector<double>> samples(thread_counts.size());
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (size_t t = 0; t < thread_counts.size(); ++t) {
+      SetGlobalThreadPoolSize(thread_counts[t]);
+      samples[t].push_back(BestSeconds(1, [&] {
+        models::ModelConfig model_config;
+        model_config.word_vocab_size = dataset.word_vocab().size();
+        model_config.concept_vocab_size = dataset.concept_vocab().size();
+        model_config.embedding_dim = 20;  // Paper's NURSING width.
+        model_config.num_filters = 50;    // Paper's filter count.
+        model_config.seed = 5;
+        models::BkDdn model(model_config);
+        core::TrainOptions train_options;
+        train_options.epochs = 1;
+        train_options.batch_size = 32;
+        train_options.num_threads = thread_counts[t];
+        core::Trainer trainer(train_options);
+        trainer.Train(&model, dataset.train(), dataset.validation(),
+                      synth::Horizon::kInHospital);
+      }));
+    }
   }
   SetGlobalThreadPoolSize(0);
+  std::vector<double> median_s, min_s, max_s;
+  for (size_t t = 0; t < thread_counts.size(); ++t) {
+    const Spread spread = SpreadOf(samples[t]);
+    median_s.push_back(spread.median);
+    min_s.push_back(spread.min);
+    max_s.push_back(spread.max);
+    std::printf("threads=%d epoch median=%.3fs (min %.3fs, max %.3fs)\n",
+                thread_counts[t], spread.median, spread.min, spread.max);
+  }
+  const double speedup = median_s[0] / median_s[2];
 
   std::ofstream out(out_path);
   if (!out.is_open()) {
@@ -276,13 +294,14 @@ int RunParallelBench(const std::string& out_path) {
   out << "{\n";
   WriteHostFields(out);
   out << "  \"thread_counts\": [1, 2, 4],\n";
-  WriteJsonSection(out, "matmul_256", thread_counts, matmul_s);
-  WriteJsonSection(out, "conv_bank_512x20", thread_counts, conv_s);
-  WriteJsonSection(out, "bkddn_epoch_nursing400", thread_counts, epoch_s);
-  out << "  \"epoch_speedup_4_vs_1\": " << epoch_s[0] / epoch_s[2] << "\n";
+  out << "  \"repeats\": " << kRepeats << ",\n";
+  WriteJsonSection(out, "bkddn_epoch_nursing400", thread_counts, median_s);
+  WriteJsonSection(out, "bkddn_epoch_nursing400_min", thread_counts, min_s);
+  WriteJsonSection(out, "bkddn_epoch_nursing400_max", thread_counts, max_s);
+  out << "  \"epoch_speedup_4_vs_1\": " << speedup << "\n";
   out << "}\n";
-  std::printf("wrote %s (epoch speedup 4 vs 1 threads: %.2fx)\n",
-              out_path.c_str(), epoch_s[0] / epoch_s[2]);
+  std::printf("wrote %s (median epoch speedup 4 vs 1 threads: %.2fx)\n",
+              out_path.c_str(), speedup);
   return 0;
 }
 
@@ -999,8 +1018,11 @@ uint64_t JobsBenchMix(uint64_t z) {
 ///    stage s of a fast chain overlaps stage s-1 of a slow one and the
 ///    whole iteration costs one pool round-trip instead of kStages. The
 ///    gain comes from removed synchronisation, so it holds even on a
-///    single-core host. `graph_matches_barrier_output` asserts both
-///    schedules produce identical bytes; `steady_state_jobs_per_sec` is the
+///    single-core host. The speedup is the median of kPairs alternating
+///    (barrier, graph) pass ratios, reported with their min and max;
+///    `overlap_seconds` holds the median pass times.
+///    `graph_matches_barrier_output` asserts both schedules produce
+///    identical bytes in every pair; `steady_state_jobs_per_sec` is the
 ///    graph path's sustained rate across reused generations.
 ///  * `weights_bitwise_identical` / `curves_bitwise_equal` — BK-DDN
 ///    training on the job graph at 1 and at 2 threads, compared
@@ -1016,7 +1038,12 @@ int RunJobsBench(const std::string& out_path) {
   // the same pure-work floor.
   constexpr int kStages = 12;
   constexpr int kChains = 16;
-  constexpr int kIterations = 50;
+  constexpr int kIterations = 100;  // Per timed pass.
+  // Timed (barrier, graph) pass pairs. The headline is the median of the
+  // per-pair ratios: alternating the schedules within a pair exposes both
+  // to the same host load, and the median ignores the odd pair a
+  // co-tenant disturbs.
+  constexpr int kPairs = 15;
   const auto spin_for = [](uint64_t iterations) {
     volatile uint64_t sink = 0;
     for (uint64_t i = 0; i < iterations; ++i) {
@@ -1039,18 +1066,6 @@ int RunJobsBench(const std::string& out_path) {
     }
   };
 
-  reset_cells();
-  const double barrier_s = BestSeconds(5, [&] {
-    for (int iteration = 0; iteration < kIterations; ++iteration) {
-      for (int s = 0; s < kStages; ++s) {
-        GlobalThreadPool().ParallelFor(kChains, [&, s](int64_t c) {
-          job_body(s, static_cast<int>(c));
-        });
-      }
-    }
-  });
-  const std::vector<std::array<uint64_t, kChains>> barrier_cells = cells;
-
   jobs::JobGraph graph;
   std::array<jobs::JobId, kChains> previous{};
   for (int s = 0; s < kStages; ++s) {
@@ -1065,20 +1080,39 @@ int RunJobsBench(const std::string& out_path) {
   }
   graph.Finalize();
   jobs::JobExecutor executor(&GlobalThreadPool());
-  reset_cells();
-  const double graph_s = BestSeconds(5, [&] {
-    for (int iteration = 0; iteration < kIterations; ++iteration) {
-      executor.Run(&graph);
-    }
-  });
-  const bool outputs_identical = cells == barrier_cells;
-  const double overlap_speedup = barrier_s / graph_s;
+
+  std::vector<double> barrier_samples, graph_samples, ratio_samples;
+  bool outputs_identical = true;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    reset_cells();
+    barrier_samples.push_back(BestSeconds(1, [&] {
+      for (int iteration = 0; iteration < kIterations; ++iteration) {
+        for (int s = 0; s < kStages; ++s) {
+          GlobalThreadPool().ParallelFor(kChains, [&, s](int64_t c) {
+            job_body(s, static_cast<int>(c));
+          });
+        }
+      }
+    }));
+    const std::vector<std::array<uint64_t, kChains>> barrier_cells = cells;
+    reset_cells();
+    graph_samples.push_back(BestSeconds(1, [&] {
+      for (int iteration = 0; iteration < kIterations; ++iteration) {
+        executor.Run(&graph);
+      }
+    }));
+    outputs_identical = outputs_identical && cells == barrier_cells;
+    ratio_samples.push_back(barrier_samples.back() / graph_samples.back());
+  }
+  const double barrier_s = SpreadOf(barrier_samples).median;
+  const double graph_s = SpreadOf(graph_samples).median;
+  const Spread overlap = SpreadOf(ratio_samples);
   const double jobs_per_sec =
       static_cast<double>(kStages) * kChains * kIterations / graph_s;
-  std::printf("overlap barrier=%.4fs graph=%.4fs (%.2fx, %.0f jobs/s) "
-              "identical=%s\n",
-              barrier_s, graph_s, overlap_speedup, jobs_per_sec,
-              outputs_identical ? "yes" : "NO");
+  std::printf("overlap barrier=%.4fs graph=%.4fs (median of %d pairs %.2fx, "
+              "range %.2f-%.2fx, %.0f jobs/s) identical=%s\n",
+              barrier_s, graph_s, kPairs, overlap.median, overlap.min,
+              overlap.max, jobs_per_sec, outputs_identical ? "yes" : "NO");
 
   // --- Training determinism: job graph at 1 vs 2 threads -----------------
   auto kb = kb::KnowledgeBase::BuildDefault();
@@ -1127,6 +1161,7 @@ int RunJobsBench(const std::string& out_path) {
   WriteHostFields(out);
   out << "  \"config\": {\"stages\": " << kStages
       << ", \"chains\": " << kChains << ", \"iterations\": " << kIterations
+      << ", \"pairs\": " << kPairs
       << ", \"pool_threads\": 2, \"num_patients\": "
       << cohort_config.num_patients
       << ", \"batch_size\": " << base_options.batch_size
@@ -1134,7 +1169,9 @@ int RunJobsBench(const std::string& out_path) {
       << ", \"train_num_threads\": [1, 2]},\n";
   out << "  \"overlap_seconds\": {\"barrier\": " << barrier_s
       << ", \"graph\": " << graph_s << "},\n";
-  out << "  \"overlap_speedup\": " << overlap_speedup << ",\n";
+  out << "  \"overlap_speedup\": " << overlap.median << ",\n";
+  out << "  \"overlap_speedup_min\": " << overlap.min << ",\n";
+  out << "  \"overlap_speedup_max\": " << overlap.max << ",\n";
   out << "  \"steady_state_jobs_per_sec\": " << jobs_per_sec << ",\n";
   out << "  \"graph_matches_barrier_output\": "
       << (outputs_identical ? "true" : "false") << ",\n";
@@ -1146,7 +1183,7 @@ int RunJobsBench(const std::string& out_path) {
       << "\n";
   out << "}\n";
   std::printf("wrote %s (overlap %.2fx, weights bitwise=%s, curves=%s)\n",
-              out_path.c_str(), overlap_speedup,
+              out_path.c_str(), overlap.median,
               weights_identical ? "yes" : "NO", curves_equal ? "yes" : "NO");
   return all_identical ? 0 : 1;
 }

@@ -11,6 +11,7 @@
 #include "core/attention_mining.h"
 #include "core/trainer.h"
 #include "models/ak_ddn.h"
+#include "serve/frozen_model.h"
 
 namespace {
 
@@ -69,6 +70,7 @@ int main() {
     std::printf("could not select both demonstration cases\n");
     return 1;
   }
+  const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
 
   struct TableSpec {
     const char* title;
@@ -90,11 +92,11 @@ int main() {
   for (const TableSpec& spec : tables) {
     const auto pairs =
         spec.word_based
-            ? core::MineWordBasedPairs(&model, *spec.example,
+            ? core::MineWordBasedPairs(frozen, *spec.example,
                                        setup.dataset.word_vocab(),
                                        setup.dataset.concept_vocab(),
                                        *setup.kb, 10)
-            : core::MineConceptBasedPairs(&model, *spec.example,
+            : core::MineConceptBasedPairs(frozen, *spec.example,
                                           setup.dataset.word_vocab(),
                                           setup.dataset.concept_vocab(),
                                           *setup.kb, 10);

@@ -14,6 +14,7 @@
 #include "eval/embedding_analysis.h"
 #include "kb/concept_extractor.h"
 #include "models/ak_ddn.h"
+#include "serve/frozen_model.h"
 #include "viz/tsne.h"
 
 using namespace kddn;
@@ -87,15 +88,17 @@ int main() {
 
   // t-SNE CSV export of joint patient representations (Figs 10-12 panel c).
   const int count = std::min<int>(200, dataset.test().size());
+  const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
+  serve::FrozenModel::Workspace ws;
   Tensor joint;
   std::vector<int> labels;
   for (int i = 0; i < count; ++i) {
-    const auto reps = model.Represent(dataset.test()[i]);
+    frozen.Logits(dataset.test()[i], &ws);  // ws.fused: pooled features.
     if (i == 0) {
-      joint = Tensor({count, reps.joint.dim(0)});
+      joint = Tensor({count, ws.fused.dim(1)});
     }
-    for (int k = 0; k < reps.joint.dim(0); ++k) {
-      joint.at(i, k) = reps.joint.at(k);
+    for (int k = 0; k < ws.fused.dim(1); ++k) {
+      joint.at(i, k) = ws.fused.at(0, k);
     }
     labels.push_back(
         dataset.test()[i].Label(synth::Horizon::kWithinYear) ? 1 : 0);

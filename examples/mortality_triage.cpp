@@ -95,7 +95,7 @@ int main() {
   std::printf("\nwhy is patient %d first in the queue?\n",
               sickest.patient_id);
   const auto pairs = core::MineWordBasedPairs(
-      &model, sickest, dataset.word_vocab(), dataset.concept_vocab(),
+      frozen, sickest, dataset.word_vocab(), dataset.concept_vocab(),
       knowledge, 6);
   for (const core::AttentionPair& pair : pairs) {
     std::printf("  %s (%s) <-> \"%s\"  weight %.4f\n", pair.cui.c_str(),
@@ -104,7 +104,7 @@ int main() {
 
   // Full browsable heatmap of the same evidence.
   const std::string html_path = "triage_attention.html";
-  core::WriteAttentionHtmlFile(&model, sickest, dataset.word_vocab(),
+  core::WriteAttentionHtmlFile(frozen, sickest, dataset.word_vocab(),
                                dataset.concept_vocab(), knowledge, html_path);
   std::printf("\nwrote co-attention heatmap to %s\n", html_path.c_str());
   return 0;

@@ -48,14 +48,14 @@ class JobExecutor {
   /// Runs `graph` (which must be finalized) to completion. See class comment.
   void Run(JobGraph* graph);
 
-  /// Work-stealing loop for flat fan-outs that need no edges (GEMM row
-  /// blocks, the trainer's scoring and evaluation loops): [0, count) is cut
-  /// into contiguous blocks of at least `min_block` iterations — up to four
-  /// blocks per pool thread, since stealing profits from slicing finer than
-  /// the thread count — which are seeded round-robin
-  /// across per-lane deques and stolen like graph jobs. fn(begin, end) calls
-  /// must write disjoint outputs; blocks run in unspecified order. Inlines
-  /// (ascending block order) on a 1-thread pool or when nested in a worker.
+  /// Work-stealing loop for flat fan-outs that need no edges (the trainer's
+  /// scoring and evaluation loops): [0, count) is cut into contiguous blocks
+  /// of at least `min_block` iterations — up to four blocks per pool thread,
+  /// since stealing profits from slicing finer than the thread count —
+  /// which are seeded round-robin across per-lane deques and stolen like
+  /// graph jobs. fn(begin, end) calls must write disjoint outputs; blocks
+  /// run in unspecified order. Inlines (ascending block order) on a
+  /// 1-thread pool or when nested in a worker.
   void ParallelForBlocked(int64_t count, int64_t min_block,
                           const std::function<void(int64_t, int64_t)>& fn);
 

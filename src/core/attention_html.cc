@@ -59,15 +59,20 @@ std::string EscapeHtml(const std::string& raw) {
   return out;
 }
 
-void WriteAttentionHtml(models::AkDdn* model, const data::Example& example,
+void WriteAttentionHtml(const serve::FrozenModel& model,
+                        const data::Example& example,
                         const text::Vocabulary& word_vocab,
                         const text::Vocabulary& concept_vocab,
                         const kb::KnowledgeBase& kb, std::ostream& out) {
-  KDDN_CHECK(model != nullptr);
-  const models::AkDdn::AttentionMaps maps = model->Attend(example);
-  const int num_words = maps.word_to_concept.dim(0);
-  const int num_concepts = maps.word_to_concept.dim(1);
-  const float risk = model->PredictPositiveProbability(example);
+  KDDN_CHECK(model.kind() == serve::FrozenModel::Kind::kAkDdn)
+      << "attention maps need an AK-DDN snapshot, got " << model.name();
+  KDDN_CHECK(!example.word_ids.empty() && !example.concept_ids.empty())
+      << "attention maps need non-empty word and concept sequences";
+  serve::FrozenModel::Workspace ws;
+  const float risk = model.ScorePositive(example, &ws);
+  const Tensor& word_to_concept = ws.word_to_concept;
+  const int num_words = word_to_concept.dim(0);
+  const int num_concepts = word_to_concept.dim(1);
 
   out << "<!DOCTYPE html><html><head><meta charset=\"utf-8\">\n"
       << "<title>AK-DDN co-attention, patient " << example.patient_id
@@ -93,12 +98,12 @@ void WriteAttentionHtml(models::AkDdn* model, const data::Example& example,
   for (int i = 0; i < num_words; ++i) {
     float row_max = 0.0f;
     for (int j = 0; j < num_concepts; ++j) {
-      row_max = std::max(row_max, maps.word_to_concept.at(i, j));
+      row_max = std::max(row_max, word_to_concept.at(i, j));
     }
     out << "<tr><td class=\"w\">"
         << EscapeHtml(word_vocab.TokenOf(example.word_ids[i])) << "</td>";
     for (int j = 0; j < num_concepts; ++j) {
-      const float weight = maps.word_to_concept.at(i, j);
+      const float weight = word_to_concept.at(i, j);
       out << "<td style=\"" << CellStyle(weight, row_max) << "\" title=\""
           << FormatDouble(weight, 4) << "\">" << FormatDouble(weight, 2)
           << "</td>";
@@ -110,8 +115,9 @@ void WriteAttentionHtml(models::AkDdn* model, const data::Example& example,
   // Concept -> word top pairs.
   out << "<h2>Concepts attending to words (paper §V-2)</h2>\n<table>\n"
       << "<tr><th>CUI</th><th>concept</th><th>strongest words</th></tr>\n";
-  const auto pairs = MineWordBasedPairs(model, example, word_vocab,
-                                        concept_vocab, kb, 3 * num_concepts);
+  const auto pairs =
+      MinePairs(ws.concept_to_word, example, /*concept_rows=*/true,
+                word_vocab, concept_vocab, kb, 3 * num_concepts);
   for (int j = 0; j < num_concepts; ++j) {
     const std::string& cui = concept_vocab.TokenOf(example.concept_ids[j]);
     out << "<tr><td>" << EscapeHtml(cui) << "</td><td title=\""
@@ -134,7 +140,8 @@ void WriteAttentionHtml(models::AkDdn* model, const data::Example& example,
   out << "</table>\n</body></html>\n";
 }
 
-void WriteAttentionHtmlFile(models::AkDdn* model, const data::Example& example,
+void WriteAttentionHtmlFile(const serve::FrozenModel& model,
+                            const data::Example& example,
                             const text::Vocabulary& word_vocab,
                             const text::Vocabulary& concept_vocab,
                             const kb::KnowledgeBase& kb,

@@ -6,7 +6,7 @@
 
 #include "data/dataset.h"
 #include "kb/knowledge_base.h"
-#include "models/ak_ddn.h"
+#include "serve/frozen_model.h"
 #include "text/vocabulary.h"
 
 namespace kddn::core {
@@ -15,14 +15,17 @@ namespace kddn::core {
 /// a word→concept heatmap (every word's distribution over the note's CUIs)
 /// and a concept→word strip (each concept's strongest words), with tooltips
 /// carrying the knowledge-base definitions. A browsable companion to the
-/// paper's Tables VII–X.
-void WriteAttentionHtml(models::AkDdn* model, const data::Example& example,
+/// paper's Tables VII–X. The risk and both maps come from one forward of
+/// `model`, which must be an AK-DDN snapshot.
+void WriteAttentionHtml(const serve::FrozenModel& model,
+                        const data::Example& example,
                         const text::Vocabulary& word_vocab,
                         const text::Vocabulary& concept_vocab,
                         const kb::KnowledgeBase& kb, std::ostream& out);
 
 /// File-path convenience wrapper.
-void WriteAttentionHtmlFile(models::AkDdn* model, const data::Example& example,
+void WriteAttentionHtmlFile(const serve::FrozenModel& model,
+                            const data::Example& example,
                             const text::Vocabulary& word_vocab,
                             const text::Vocabulary& concept_vocab,
                             const kb::KnowledgeBase& kb,

@@ -11,17 +11,28 @@
 namespace kddn::core {
 namespace {
 
-/// Shared miner: `weights` has one row per query and one column per value.
-/// `concept_rows == true` means rows index concepts (word-based interaction);
-/// otherwise rows index words (concept-based interaction).
+/// One frozen forward; afterwards `ws` holds both co-attention maps.
+void AttentionForward(const serve::FrozenModel& model,
+                      const data::Example& example,
+                      serve::FrozenModel::Workspace* ws) {
+  KDDN_CHECK(model.kind() == serve::FrozenModel::Kind::kAkDdn)
+      << "attention maps need an AK-DDN snapshot, got " << model.name();
+  KDDN_CHECK(!example.word_ids.empty() && !example.concept_ids.empty())
+      << "attention maps need non-empty word and concept sequences";
+  model.Logits(example, ws);
+}
+
+}  // namespace
+
 std::vector<AttentionPair> MinePairs(const Tensor& weights,
-                                     const std::vector<int>& word_ids,
-                                     const std::vector<int>& concept_ids,
+                                     const data::Example& example,
                                      bool concept_rows,
                                      const text::Vocabulary& word_vocab,
                                      const text::Vocabulary& concept_vocab,
                                      const kb::KnowledgeBase& kb, int top_k) {
   KDDN_CHECK_GT(top_k, 0);
+  const std::vector<int>& word_ids = example.word_ids;
+  const std::vector<int>& concept_ids = example.concept_ids;
   KDDN_CHECK_EQ(weights.rank(), 2);
   const int rows = weights.dim(0), cols = weights.dim(1);
   KDDN_CHECK_EQ(rows, static_cast<int>(concept_rows ? concept_ids.size()
@@ -76,28 +87,24 @@ std::vector<AttentionPair> MinePairs(const Tensor& weights,
   return pairs;
 }
 
-}  // namespace
-
 std::vector<AttentionPair> MineWordBasedPairs(
-    models::AkDdn* model, const data::Example& example,
+    const serve::FrozenModel& model, const data::Example& example,
     const text::Vocabulary& word_vocab, const text::Vocabulary& concept_vocab,
     const kb::KnowledgeBase& kb, int top_k) {
-  KDDN_CHECK(model != nullptr);
-  models::AkDdn::AttentionMaps maps = model->Attend(example);
-  return MinePairs(maps.concept_to_word, example.word_ids,
-                   example.concept_ids, /*concept_rows=*/true, word_vocab,
-                   concept_vocab, kb, top_k);
+  serve::FrozenModel::Workspace ws;
+  AttentionForward(model, example, &ws);
+  return MinePairs(ws.concept_to_word, example, /*concept_rows=*/true,
+                   word_vocab, concept_vocab, kb, top_k);
 }
 
 std::vector<AttentionPair> MineConceptBasedPairs(
-    models::AkDdn* model, const data::Example& example,
+    const serve::FrozenModel& model, const data::Example& example,
     const text::Vocabulary& word_vocab, const text::Vocabulary& concept_vocab,
     const kb::KnowledgeBase& kb, int top_k) {
-  KDDN_CHECK(model != nullptr);
-  models::AkDdn::AttentionMaps maps = model->Attend(example);
-  return MinePairs(maps.word_to_concept, example.word_ids,
-                   example.concept_ids, /*concept_rows=*/false, word_vocab,
-                   concept_vocab, kb, top_k);
+  serve::FrozenModel::Workspace ws;
+  AttentionForward(model, example, &ws);
+  return MinePairs(ws.word_to_concept, example, /*concept_rows=*/false,
+                   word_vocab, concept_vocab, kb, top_k);
 }
 
 const data::Example* SelectCase(models::AkDdn* model,

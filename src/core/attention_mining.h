@@ -7,6 +7,7 @@
 #include "data/dataset.h"
 #include "kb/knowledge_base.h"
 #include "models/ak_ddn.h"
+#include "serve/frozen_model.h"
 #include "synth/cohort.h"
 #include "text/vocabulary.h"
 
@@ -24,20 +25,33 @@ struct AttentionPair {
 
 /// Important pairs in the *word-based interaction* (paper §V-2, Tables VII &
 /// IX): each concept embedding queries the word matrix, so weights live in
-/// the [m_c, m_w] map. Pairs are deduped by (CUI, word) keeping the maximum
-/// weight, sorted descending, truncated to `top_k`. Pad/unknown tokens are
-/// skipped.
+/// the [m_c, m_w] map (Workspace::concept_to_word of one frozen forward).
+/// Pairs are deduped by (CUI, word) keeping the maximum weight, sorted
+/// descending, truncated to `top_k`. Pad/unknown tokens are skipped. `model`
+/// must be an AK-DDN snapshot.
 std::vector<AttentionPair> MineWordBasedPairs(
-    models::AkDdn* model, const data::Example& example,
+    const serve::FrozenModel& model, const data::Example& example,
     const text::Vocabulary& word_vocab, const text::Vocabulary& concept_vocab,
     const kb::KnowledgeBase& kb, int top_k);
 
 /// Important pairs in the *concept-based interaction* (paper §V-1, Tables
-/// VIII & X): each word queries the concept matrix ([m_w, m_c] weights).
+/// VIII & X): each word queries the concept matrix ([m_w, m_c] weights,
+/// Workspace::word_to_concept).
 std::vector<AttentionPair> MineConceptBasedPairs(
-    models::AkDdn* model, const data::Example& example,
+    const serve::FrozenModel& model, const data::Example& example,
     const text::Vocabulary& word_vocab, const text::Vocabulary& concept_vocab,
     const kb::KnowledgeBase& kb, int top_k);
+
+/// The miner behind both functions above, for a map a forward has already
+/// computed: `weights` has one row per query and one column per value;
+/// `concept_rows == true` means rows index concepts (word-based interaction),
+/// otherwise rows index words (concept-based interaction).
+std::vector<AttentionPair> MinePairs(const Tensor& weights,
+                                     const data::Example& example,
+                                     bool concept_rows,
+                                     const text::Vocabulary& word_vocab,
+                                     const text::Vocabulary& concept_vocab,
+                                     const kb::KnowledgeBase& kb, int top_k);
 
 /// Picks the paper's demonstration case from a split: the example the model
 /// scores most confidently as positive (`positive=true`: died in hospital) or

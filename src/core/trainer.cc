@@ -70,6 +70,13 @@ Trainer::EvalMetrics EvaluateSplitOn(models::NeuralDocumentModel* model,
   std::vector<float> scores(split.size());
   std::vector<double> losses(split.size(), 0.0);
 
+  // Both metrics are reduced from one set of probabilities per example,
+  // with the exact arithmetic of ag::SoftmaxCrossEntropy's forward value and
+  // PredictPositiveProbability.
+  auto record = [&](int64_t i, const std::vector<float>& probs) {
+    losses[i] = -std::log(std::max(probs[labels[i]], 1e-12f));
+    scores[i] = probs[1];
+  };
   const std::string name = model->name();
   if (name == "BK-DDN" || name == "AK-DDN") {
     // Servable models evaluate through a refreshed frozen snapshot: no graph
@@ -82,22 +89,11 @@ Trainer::EvalMetrics EvaluateSplitOn(models::NeuralDocumentModel* model,
         [&](int64_t begin, int64_t end) {
           serve::FrozenModel::Workspace ws;
           for (int64_t i = begin; i < end; ++i) {
-            const serve::FrozenModel::EvalResult result =
-                frozen.EvalExample(split[i], labels[i], &ws);
-            losses[i] = result.loss;
-            scores[i] = result.score;
+            record(i, ag::SoftmaxProbs(frozen.Logits(split[i], &ws)));
           }
         });
   } else {
-    // Generic route: the graph-scoring loop, with both metrics reduced from
-    // one set of probabilities per example using the exact arithmetic of
-    // ag::SoftmaxCrossEntropy's forward value and PredictPositiveProbability.
-    ForEachGraphProbs(model, split, pool,
-                      [&](int64_t i, const std::vector<float>& probs) {
-                        losses[i] =
-                            -std::log(std::max(probs[labels[i]], 1e-12f));
-                        scores[i] = probs[1];
-                      });
+    ForEachGraphProbs(model, split, pool, record);
   }
 
   // Losses are summed in example order, so the mean is

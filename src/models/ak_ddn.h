@@ -13,7 +13,9 @@ namespace kddn::models {
 ///   Iw = softmax(C · Wᵀ) · W  — words-based interaction with concepts
 ///        (every concept queries the words, §V-2).
 /// Two separate CNNs then model Ic and Iw, and the pooled vectors are fused
-/// and classified as in BK-DDN.
+/// and classified as in BK-DDN. The two attention maps and the pooled
+/// vectors (Tables VII–X, Figs 10–12) are read from a serve::FrozenModel
+/// Workspace after its forward (serve/frozen_model.h).
 class AkDdn : public NeuralDocumentModel {
  public:
   explicit AkDdn(const ModelConfig& config);
@@ -23,32 +25,7 @@ class AkDdn : public NeuralDocumentModel {
 
   const char* name() const override { return "AK-DDN"; }
 
-  /// Raw co-attention weight matrices, used to mine the paper's important
-  /// word/concept pairs (Tables VII–X).
-  struct AttentionMaps {
-    Tensor word_to_concept;  // [m_w, m_c]: row i = word i's weights over CUIs.
-    Tensor concept_to_word;  // [m_c, m_w]: row j = concept j's weights.
-  };
-  AttentionMaps Attend(const data::Example& example);
-
-  /// Patient representations for Figs 10–12: pooled word-interaction vector,
-  /// pooled concept-interaction vector, and their concatenation.
-  struct Representations {
-    Tensor word;
-    Tensor concept_vec;
-    Tensor joint;
-  };
-  Representations Represent(const data::Example& example);
-
  private:
-  struct Branches {
-    ag::NodePtr word_features;
-    ag::NodePtr concept_features;
-    ag::NodePtr word_to_concept_weights;
-    ag::NodePtr concept_to_word_weights;
-  };
-  Branches Forward(const data::Example& example);
-
   Rng init_rng_;
   nn::Embedding word_embedding_;
   nn::Embedding concept_embedding_;

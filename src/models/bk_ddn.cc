@@ -21,33 +21,17 @@ BkDdn::BkDdn(const ModelConfig& config)
                   &init_rng_),
       dropout_(config.dropout) {}
 
-ag::NodePtr BkDdn::WordFeatures(const data::Example& example) {
-  KDDN_CHECK(!example.word_ids.empty()) << "empty word sequence";
-  return word_conv_.Forward(word_embedding_.Forward(example.word_ids));
-}
-
-ag::NodePtr BkDdn::ConceptFeatures(const data::Example& example) {
-  KDDN_CHECK(!example.concept_ids.empty()) << "empty concept sequence";
-  return concept_conv_.Forward(
-      concept_embedding_.Forward(example.concept_ids));
-}
-
 ag::NodePtr BkDdn::Logits(const data::Example& example,
                           const nn::ForwardContext& ctx) {
-  ag::NodePtr fused =
-      ag::Concat({WordFeatures(example), ConceptFeatures(example)}, 0);
+  KDDN_CHECK(!example.word_ids.empty()) << "empty word sequence";
+  KDDN_CHECK(!example.concept_ids.empty()) << "empty concept sequence";
+  ag::NodePtr word_features =
+      word_conv_.Forward(word_embedding_.Forward(example.word_ids));
+  ag::NodePtr concept_features =
+      concept_conv_.Forward(concept_embedding_.Forward(example.concept_ids));
+  ag::NodePtr fused = ag::Concat({word_features, concept_features}, 0);
   fused = ag::Dropout(fused, dropout_, ctx.training, ctx.rng);
   return classifier_.Forward(fused);
-}
-
-BkDdn::Representations BkDdn::Represent(const data::Example& example) {
-  Representations reps;
-  ag::NodePtr word = WordFeatures(example);
-  ag::NodePtr concept_features = ConceptFeatures(example);
-  reps.word = word->value();
-  reps.concept_vec = concept_features->value();
-  reps.joint = ag::Concat({word, concept_features}, 0)->value();
-  return reps;
 }
 
 }  // namespace kddn::models

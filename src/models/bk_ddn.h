@@ -9,7 +9,9 @@ namespace kddn::models {
 /// branch over the word sequence and a Concept CNN branch over the UMLS
 /// concept sequence, trained jointly; the two pooled representations are
 /// concatenated and classified by a dense softmax layer. The branches do not
-/// interact before the fusion — that is what AK-DDN adds.
+/// interact before the fusion — that is what AK-DDN adds. The pooled branch
+/// vectors (Figs 10–12) are read from a serve::FrozenModel Workspace after
+/// its forward (serve/frozen_model.h).
 class BkDdn : public NeuralDocumentModel {
  public:
   explicit BkDdn(const ModelConfig& config);
@@ -19,20 +21,7 @@ class BkDdn : public NeuralDocumentModel {
 
   const char* name() const override { return "BK-DDN"; }
 
-  /// The three patient representations of the paper's Figs 10–12: the
-  /// word-branch vector, the concept-branch vector, and their concatenation.
-  struct Representations {
-    Tensor word;
-    Tensor concept_vec;
-    Tensor joint;
-  };
-  Representations Represent(const data::Example& example);
-
  private:
-  /// Branch feature nodes (pre-dropout); shared by Logits and Represent.
-  ag::NodePtr WordFeatures(const data::Example& example);
-  ag::NodePtr ConceptFeatures(const data::Example& example);
-
   Rng init_rng_;
   nn::Embedding word_embedding_;
   nn::Embedding concept_embedding_;

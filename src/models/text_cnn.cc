@@ -24,12 +24,6 @@ ag::NodePtr TextCnn::Logits(const data::Example& example,
   return classifier_.Forward(features);
 }
 
-Tensor TextCnn::Represent(const data::Example& example) {
-  ag::NodePtr features =
-      conv_.Forward(embedding_.Forward(example.word_ids));
-  return features->value();
-}
-
 ConceptCnn::ConceptCnn(const ModelConfig& config)
     : NeuralDocumentModel(config),
       init_rng_(config.seed),
@@ -47,12 +41,6 @@ ag::NodePtr ConceptCnn::Logits(const data::Example& example,
   ag::NodePtr features = conv_.Forward(embedded);
   features = ag::Dropout(features, dropout_, ctx.training, ctx.rng);
   return classifier_.Forward(features);
-}
-
-Tensor ConceptCnn::Represent(const data::Example& example) {
-  ag::NodePtr features =
-      conv_.Forward(embedding_.Forward(example.concept_ids));
-  return features->value();
 }
 
 }  // namespace kddn::models

@@ -18,9 +18,6 @@ class TextCnn : public NeuralDocumentModel {
 
   const char* name() const override { return "Text CNN"; }
 
-  /// Pooled document feature vector (pre-classifier), inference mode.
-  Tensor Represent(const data::Example& example);
-
  private:
   Rng init_rng_;
   nn::Embedding embedding_;
@@ -39,9 +36,6 @@ class ConceptCnn : public NeuralDocumentModel {
                      const nn::ForwardContext& ctx) override;
 
   const char* name() const override { return "Concept CNN"; }
-
-  /// Pooled concept feature vector (pre-classifier), inference mode.
-  Tensor Represent(const data::Example& example);
 
  private:
   Rng init_rng_;

@@ -88,7 +88,7 @@ class Conv1dBank {
 };
 
 /// Result of attention-based interaction: the mixed value matrix plus the
-/// attention weights (kept for the paper's Tables VII–X pair mining).
+/// attention weights.
 struct AttiResult {
   ag::NodePtr output;   // [m_q, d]
   ag::NodePtr weights;  // [m_q, m_kv], rows sum to 1

@@ -1,7 +1,6 @@
 #include "serve/frozen_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -190,11 +189,11 @@ const Tensor& FrozenModel::Logits(const data::Example& example,
     // The Into variants reuse the workspace tensors' storage, so a warmed-up
     // workspace runs the whole attention stage allocation-free.
     kddn::MatMulABtInto(&ws->atti_scores, ws->word_emb, ws->concept_emb);
-    kddn::SoftmaxRowsInto(&ws->atti_weights, ws->atti_scores);
-    kddn::MatMulInto(&ws->ic, ws->atti_weights, ws->concept_emb);
+    kddn::SoftmaxRowsInto(&ws->word_to_concept, ws->atti_scores);
+    kddn::MatMulInto(&ws->ic, ws->word_to_concept, ws->concept_emb);
     kddn::MatMulABtInto(&ws->atti_scores, ws->concept_emb, ws->word_emb);
-    kddn::SoftmaxRowsInto(&ws->atti_weights, ws->atti_scores);
-    kddn::MatMulInto(&ws->iw, ws->atti_weights, ws->word_emb);
+    kddn::SoftmaxRowsInto(&ws->concept_to_word, ws->atti_scores);
+    kddn::MatMulInto(&ws->iw, ws->concept_to_word, ws->word_emb);
     if (residual_) {
       ConcatCols(ws->word_emb, ws->ic, &ws->word_in);
       ConcatCols(ws->concept_emb, ws->iw, &ws->concept_in);
@@ -224,18 +223,6 @@ const Tensor& FrozenModel::Logits(const data::Example& example,
 float FrozenModel::ScorePositive(const data::Example& example,
                                  Workspace* ws) const {
   return ag::SoftmaxProbs(Logits(example, ws))[1];
-}
-
-FrozenModel::EvalResult FrozenModel::EvalExample(const data::Example& example,
-                                                 int label,
-                                                 Workspace* ws) const {
-  KDDN_CHECK(label == 0 || label == 1) << "binary label expected";
-  const std::vector<float> probs = ag::SoftmaxProbs(Logits(example, ws));
-  EvalResult result;
-  // Same clamp as ag::SoftmaxCrossEntropy's forward value.
-  result.loss = -std::log(std::max(probs[label], 1e-12f));
-  result.score = probs[1];
-  return result;
 }
 
 float FrozenModel::ScorePositive(const data::Example& example) const {

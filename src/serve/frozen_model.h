@@ -38,21 +38,36 @@ class FrozenModel {
   /// when a document's shape outgrows them, so steady-state serving of
   /// same-truncation traffic does no per-request tensor allocation outside
   /// the shared matmul kernels.
+  ///
+  /// Feature contract: after Logits(example, ws) returns, three fields hold
+  /// the model's interpretable intermediates, bitwise what the graph forward
+  /// computes for the same (non-empty) example, until the next call with
+  /// this workspace:
+  ///   - word_to_concept [m_w, m_c], AK-DDN only: row i is word i's softmax
+  ///     weights over the note's concepts (paper §V-1, Tables VIII & X);
+  ///   - concept_to_word [m_c, m_w], AK-DDN only: row j is concept j's
+  ///     weights over the words (paper §V-2, Tables VII & IX);
+  ///   - fused [1, 2 * filters * |widths|]: the pooled patient
+  ///     representation (Figs 10-12), word-branch half first, then the
+  ///     concept-branch half.
+  /// For an empty word or concept sequence the maps cover the <pad>
+  /// fallback token, not the example's ids.
   struct Workspace {
-    Tensor word_emb;      // [m_w, d] embedded words.
-    Tensor concept_emb;   // [m_c, d] embedded concepts.
-    Tensor word_in;       // CNN input, word branch (AK: interaction rows).
-    Tensor concept_in;    // CNN input, concept branch.
-    Tensor atti_scores;   // Co-attention scores (AK-DDN only).
-    Tensor atti_weights;  // Row-softmaxed scores.
-    Tensor ic;            // Word-queries-concepts interaction matrix.
-    Tensor iw;            // Concept-queries-words interaction matrix.
-    Tensor padded;        // Conv input padded to the largest filter width.
-    Tensor windows;       // im2col windows for the current filter width.
-    Tensor feature_map;   // Conv scores before the bias [windows, filters].
-    Tensor fused;         // [1, out_w + out_c] pooled features.
-    Tensor cls_out;       // [1, 2] classifier product before the bias.
-    Tensor logits;        // [2].
+    Tensor word_emb;         // [m_w, d] embedded words.
+    Tensor concept_emb;      // [m_c, d] embedded concepts.
+    Tensor word_in;          // CNN input, word branch (AK: interaction rows).
+    Tensor concept_in;       // CNN input, concept branch.
+    Tensor atti_scores;      // Co-attention scores (AK-DDN only).
+    Tensor word_to_concept;  // [m_w, m_c] row-softmaxed W·Cᵀ (AK-DDN only).
+    Tensor concept_to_word;  // [m_c, m_w] row-softmaxed C·Wᵀ (AK-DDN only).
+    Tensor ic;               // Word-queries-concepts interaction matrix.
+    Tensor iw;               // Concept-queries-words interaction matrix.
+    Tensor padded;           // Conv input padded to the largest filter width.
+    Tensor windows;          // im2col windows for the current filter width.
+    Tensor feature_map;      // Conv scores before the bias [windows, filters].
+    Tensor fused;            // [1, out_w + out_c] pooled features.
+    Tensor cls_out;          // [1, 2] classifier product before the bias.
+    Tensor logits;           // [2].
   };
 
   /// Snapshots a trained model. Only BK-DDN and AK-DDN are servable (they are
@@ -70,20 +85,6 @@ class FrozenModel {
 
   /// Probability of the positive (death) class.
   float ScorePositive(const data::Example& example, Workspace* ws) const;
-
-  /// One forward, both per-epoch validation metrics (DESIGN.md §10): the
-  /// softmax probabilities are computed once and yield the cross-entropy
-  /// loss against `label` and the positive-class score together. `loss` is
-  /// bitwise what ag::ScalarValue(ag::SoftmaxCrossEntropy(logits, label))
-  /// reports and `score` bitwise what ScorePositive reports, because all
-  /// three reduce the same logits through ag::SoftmaxProbs and the same
-  /// -log(max(p, 1e-12)) clamp.
-  struct EvalResult {
-    float loss = 0.0f;
-    float score = 0.0f;
-  };
-  EvalResult EvalExample(const data::Example& example, int label,
-                         Workspace* ws) const;
 
   /// Convenience overload using a thread-local Workspace.
   float ScorePositive(const data::Example& example) const;

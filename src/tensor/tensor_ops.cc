@@ -7,8 +7,6 @@
 #include <cstdint>
 
 #include "common/check.h"
-#include "common/job_executor.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_pool.h"
@@ -28,48 +26,23 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
 
 std::atomic<GemmKernel> g_gemm_kernel{GemmKernel::kAuto};
 
-/// Minimum multiply-accumulate count before a matmul fans its row blocks out
-/// through jobs::JobExecutor on the global pool; below this the cost of
-/// seeding lane deques and waking pool workers outweighs the work.
-constexpr int64_t kParallelMatMulFlops = int64_t{1} << 17;
-
-/// True if a matmul with this many MACs should use the row-blocked parallel
-/// path. The kernels only write output rows [row_begin, row_end) and keep one
-/// fixed per-element accumulation order, so splitting the row range across
-/// workers leaves results bitwise identical to the serial call.
-bool UseParallelMatMul(int64_t flops) {
-  return flops >= kParallelMatMulFlops && GlobalThreadPool().num_threads() > 1;
-}
-
 using GemmFn = detail::GemmFn;
 
 std::atomic<bool> g_gemm_timing_enabled{false};
 std::atomic<uint64_t> g_gemm_timing_calls{0};
 std::atomic<uint64_t> g_gemm_timing_ns{0};
 
-/// Runs `fn` over all m output rows, serial or row-blocked parallel.
-/// C must already be zero-filled (the kernels accumulate).
+/// Runs `fn` over all m output rows. C must already be zero-filled (the
+/// kernels accumulate). A GEMM never fans out: parallelism lives one level
+/// up, across examples, requests and patients, whose loops run in executor
+/// lanes (DESIGN.md §5).
 void DispatchGemm(GemmFn fn, const float* a, const float* b, float* c, int m,
                   int k, int n) {
   KDDN_TRACE_SPAN("gemm.block");
   const bool timing = g_gemm_timing_enabled.load(std::memory_order_relaxed);
   const auto start = timing ? std::chrono::steady_clock::now()
                             : std::chrono::steady_clock::time_point();
-  if (UseParallelMatMul(int64_t{m} * k * n)) {
-    // Row blocks go through the work-stealing executor (DESIGN.md §14): the
-    // finer slicing it uses lets an early-finishing lane steal the tail of a
-    // slow one. Every output element is still produced by exactly one kernel
-    // call with one fixed accumulation order, so block boundaries cannot
-    // change the result bits.
-    jobs::JobExecutor(&GlobalThreadPool())
-        .ParallelForBlocked(m, /*min_block=*/1,
-                            [&](int64_t begin, int64_t end) {
-                              fn(a, b, c, m, k, n, static_cast<int>(begin),
-                                 static_cast<int>(end));
-                            });
-  } else {
-    fn(a, b, c, m, k, n, 0, m);
-  }
+  fn(a, b, c, m, k, n, 0, m);
   if (timing) {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     g_gemm_timing_calls.fetch_add(1, std::memory_order_relaxed);

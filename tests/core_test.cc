@@ -6,6 +6,7 @@
 #include "gtest/gtest.h"
 #include "models/ak_ddn.h"
 #include "models/text_cnn.h"
+#include "serve/frozen_model.h"
 
 namespace kddn::core {
 namespace {
@@ -113,11 +114,12 @@ TEST_F(CoreTest, AttentionMiningProducesRankedPairs) {
                 synth::Horizon::kInHospital);
 
   const data::Example& example = dataset_.test().front();
+  const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
   const auto word_pairs =
-      MineWordBasedPairs(&model, example, dataset_.word_vocab(),
+      MineWordBasedPairs(frozen, example, dataset_.word_vocab(),
                          dataset_.concept_vocab(), kb_, 10);
   const auto concept_pairs =
-      MineConceptBasedPairs(&model, example, dataset_.word_vocab(),
+      MineConceptBasedPairs(frozen, example, dataset_.word_vocab(),
                             dataset_.concept_vocab(), kb_, 10);
   ASSERT_FALSE(word_pairs.empty());
   ASSERT_FALSE(concept_pairs.empty());
@@ -235,8 +237,9 @@ TEST_F(CoreTest, AttentionHtmlExport) {
   models::AkDdn model(SmallModelConfig());
   const data::Example& example = dataset_.test().front();
   std::ostringstream out;
-  WriteAttentionHtml(&model, example, dataset_.word_vocab(),
-                     dataset_.concept_vocab(), kb_, out);
+  WriteAttentionHtml(serve::FrozenModel::Freeze(model), example,
+                     dataset_.word_vocab(), dataset_.concept_vocab(), kb_,
+                     out);
   const std::string html = out.str();
   EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
   EXPECT_NE(html.find("patient " + std::to_string(example.patient_id)),
@@ -265,7 +268,8 @@ TEST_F(CoreTest, AttentionHtmlExport) {
 TEST_F(CoreTest, AttentionHtmlFileWrapper) {
   models::AkDdn model(SmallModelConfig());
   const std::string path = ::testing::TempDir() + "/attention.html";
-  WriteAttentionHtmlFile(&model, dataset_.test().front(),
+  WriteAttentionHtmlFile(serve::FrozenModel::Freeze(model),
+                         dataset_.test().front(),
                          dataset_.word_vocab(), dataset_.concept_vocab(),
                          kb_, path);
   std::ifstream in(path);

@@ -10,6 +10,7 @@
 #include "models/dkgam.h"
 #include "models/h_cnn.h"
 #include "models/text_cnn.h"
+#include "serve/frozen_model.h"
 
 namespace kddn::models {
 namespace {
@@ -67,29 +68,42 @@ void CheckModelBasics(NeuralDocumentModel* model,
 TEST(TextCnnTest, BasicsAndRepresentation) {
   TextCnn model(SmallConfig());
   CheckModelBasics(&model, SmallExample());
-  Tensor rep = model.Represent(SmallExample());
-  EXPECT_EQ(rep.rank(), 1);
-  EXPECT_EQ(rep.dim(0), 4 * 3);  // filters x widths.
 }
 
 TEST(ConceptCnnTest, BasicsAndRepresentation) {
   ConceptCnn model(SmallConfig());
   CheckModelBasics(&model, SmallExample());
-  EXPECT_EQ(model.Represent(SmallExample()).dim(0), 12);
+}
+
+/// Pooled features of one frozen forward (serve/frozen_model.h, Workspace
+/// feature contract): [1, 24] = word half then concept half, 4 filters x 3
+/// widths each.
+Tensor FusedFeatures(const serve::FrozenModel& frozen,
+                     const data::Example& example) {
+  serve::FrozenModel::Workspace ws;
+  frozen.Logits(example, &ws);
+  return ws.fused;
 }
 
 TEST(BkDdnTest, BasicsAndRepresentations) {
   BkDdn model(SmallConfig());
   CheckModelBasics(&model, SmallExample());
-  BkDdn::Representations reps = model.Represent(SmallExample());
-  EXPECT_EQ(reps.word.dim(0), 12);
-  EXPECT_EQ(reps.concept_vec.dim(0), 12);
-  EXPECT_EQ(reps.joint.dim(0), 24);
-  // Joint is the concatenation of the two branches.
+  const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
+  const Tensor joint = FusedFeatures(frozen, SmallExample());
+  ASSERT_EQ(joint.dim(0), 1);
+  ASSERT_EQ(joint.dim(1), 24);
+  // Joint is the concatenation of two independent branches: new concepts
+  // leave the word half bitwise unchanged and move the concept half.
+  data::Example other = SmallExample();
+  other.concept_ids = {5, 6};
+  const Tensor other_joint = FusedFeatures(frozen, other);
+  bool concept_half_moved = false;
   for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(reps.joint.at(i), reps.word.at(i));
-    EXPECT_EQ(reps.joint.at(12 + i), reps.concept_vec.at(i));
+    EXPECT_EQ(other_joint.at(0, i), joint.at(0, i)) << i;
+    concept_half_moved = concept_half_moved ||
+                         other_joint.at(0, 12 + i) != joint.at(0, 12 + i);
   }
+  EXPECT_TRUE(concept_half_moved);
 }
 
 TEST(AkDdnTest, BasicsAndAttention) {
@@ -97,23 +111,25 @@ TEST(AkDdnTest, BasicsAndAttention) {
   const data::Example example = SmallExample();
   CheckModelBasics(&model, example);
 
-  AkDdn::AttentionMaps maps = model.Attend(example);
-  ASSERT_EQ(maps.word_to_concept.dim(0), 8);
-  ASSERT_EQ(maps.word_to_concept.dim(1), 3);
-  ASSERT_EQ(maps.concept_to_word.dim(0), 3);
-  ASSERT_EQ(maps.concept_to_word.dim(1), 8);
+  const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
+  serve::FrozenModel::Workspace ws;
+  frozen.Logits(example, &ws);
+  ASSERT_EQ(ws.word_to_concept.dim(0), 8);
+  ASSERT_EQ(ws.word_to_concept.dim(1), 3);
+  ASSERT_EQ(ws.concept_to_word.dim(0), 3);
+  ASSERT_EQ(ws.concept_to_word.dim(1), 8);
   // Attention rows are distributions.
   for (int i = 0; i < 8; ++i) {
     float total = 0.0f;
     for (int j = 0; j < 3; ++j) {
-      total += maps.word_to_concept.at(i, j);
+      total += ws.word_to_concept.at(i, j);
     }
     EXPECT_NEAR(total, 1.0f, 1e-5f);
   }
   for (int i = 0; i < 3; ++i) {
     float total = 0.0f;
     for (int j = 0; j < 8; ++j) {
-      total += maps.concept_to_word.at(i, j);
+      total += ws.concept_to_word.at(i, j);
     }
     EXPECT_NEAR(total, 1.0f, 1e-5f);
   }
@@ -128,10 +144,24 @@ TEST(AkDdnTest, ResidualAblationChangesConvWidth) {
 
 TEST(AkDdnTest, RepresentationsMatchBranchOutputs) {
   AkDdn model(SmallConfig());
-  AkDdn::Representations reps = model.Represent(SmallExample());
-  EXPECT_EQ(reps.word.dim(0), 12);
-  EXPECT_EQ(reps.concept_vec.dim(0), 12);
-  EXPECT_EQ(reps.joint.dim(0), 24);
+  const serve::FrozenModel frozen = serve::FrozenModel::Freeze(model);
+  const Tensor joint = FusedFeatures(frozen, SmallExample());
+  ASSERT_EQ(joint.dim(1), 24);
+  // The pooled features are the classifier's input: the dense layer applied
+  // to them gives the graph forward's logits.
+  nn::ForwardContext ctx;
+  ctx.training = false;
+  const Tensor logits = model.Logits(SmallExample(), ctx)->value();
+  const Tensor& weight = model.params().Get("cls.weight")->value();
+  const Tensor& bias = model.params().Get("cls.bias")->value();
+  for (int j = 0; j < 2; ++j) {
+    float total = bias[j];
+    for (int k = 0; k < 24; ++k) {
+      EXPECT_GE(joint.at(0, k), 0.0f);  // ReLU, then max-over-time.
+      total += joint.at(0, k) * weight.at(k, j);
+    }
+    EXPECT_NEAR(total, logits[j], 1e-5f);
+  }
 }
 
 TEST(HCnnTest, HandlesShortAndLongDocuments) {

@@ -1,9 +1,9 @@
 // Tests for the concurrency substrate: ThreadPool semantics (zero tasks,
 // reentrancy, exception transport), the executor's blocked loop that library
-// fan-outs use, bitwise serial/parallel equality of the
-// row-blocked tensor kernels, and — the load-bearing guarantee — that
-// training is bitwise reproducible at any thread count thanks to the
-// chunk-ordered gradient reduction in core::Trainer.
+// fan-outs use, pool-size independence of the tensor kernels, and — the
+// load-bearing guarantee — that training is bitwise reproducible at any
+// thread count thanks to the chunk-ordered gradient reduction in
+// core::Trainer.
 #include "common/thread_pool.h"
 
 #include <algorithm>
@@ -135,11 +135,11 @@ TEST(ThreadPoolTest, GlobalPoolResizeRoundTrip) {
   SetGlobalThreadPoolSize(original);
 }
 
-/// The row-blocked parallel kernels keep each output element's accumulation
-/// order identical to the serial loops, so results must agree bitwise.
+/// A GEMM runs as one kernel call on the calling thread with one fixed
+/// per-element accumulation order, so its bits must not depend on the global
+/// pool size.
 TEST(ParallelTensorOpsTest, MatMulFamilyBitwiseEqualAcrossThreadCounts) {
   Rng rng(77);
-  // Big enough to clear the parallel-dispatch work threshold.
   Tensor a = RandomNormal({96, 80}, 0, 1, &rng);
   Tensor b = RandomNormal({80, 72}, 0, 1, &rng);
   Tensor bt = RandomNormal({72, 80}, 0, 1, &rng);
